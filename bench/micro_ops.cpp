@@ -192,8 +192,12 @@ void BM_ApplyMove(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyMove);
 
+/// One default LMCTS step (random critical job x every partner). Args:
+/// jobs, machines — 512x16 is the batch shape of the other cases, 150x12
+/// the per-shard batch the sharded service races.
 void BM_LocalSearchLmctsStep(benchmark::State& state) {
-  const EtcMatrix etc = bench_instance();
+  const EtcMatrix etc = bench_instance(static_cast<int>(state.range(0)),
+                                       static_cast<int>(state.range(1)));
   Rng rng(5);
   ScheduleEvaluator eval(etc);
   eval.reset(Schedule::random(etc.num_jobs(), etc.num_machines(), rng));
@@ -206,7 +210,7 @@ void BM_LocalSearchLmctsStep(benchmark::State& state) {
     benchmark::DoNotOptimize(local_search(config, weights, eval, rng));
   }
 }
-BENCHMARK(BM_LocalSearchLmctsStep);
+BENCHMARK(BM_LocalSearchLmctsStep)->Args({512, 16})->Args({150, 12});
 
 void BM_OnePointCrossover(benchmark::State& state) {
   Rng rng(6);

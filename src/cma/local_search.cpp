@@ -83,8 +83,7 @@ bool step_lmcts(const LocalSearchConfig& config, const FitnessWeights& weights,
   double best_score = current_score(evaluator, config.objective, weights);
   JobId best_a = -1;
   JobId best_b = -1;
-  auto consider = [&](JobId a, JobId b) {
-    const auto preview = evaluator.preview_swap(a, b);
+  auto consider = [&](JobId a, JobId b, const PreviewResult& preview) {
     ++stats.previews;
     const double score = score_of(preview, config.objective, weights, m);
     if (score < best_score) {
@@ -93,41 +92,40 @@ bool step_lmcts(const LocalSearchConfig& config, const FitnessWeights& weights,
       best_b = b;
     }
   };
+  // The critical-machine scans pair a focus job with every job elsewhere;
+  // preview_swaps scores all those partners in one pass (same previews,
+  // same id order, so the same first strict minimum wins).
+  auto consider_partners_of = [&](JobId a) {
+    evaluator.preview_swaps(a, [&](JobId b, const PreviewResult& preview) {
+      consider(a, b, preview);
+    });
+  };
 
   switch (config.scan) {
     case LmctsScan::kCriticalRandomJob: {
-      const MachineId critical = evaluator.makespan_machine();
-      const auto& critical_jobs = evaluator.machine_jobs(critical);
+      const auto& critical_jobs =
+          evaluator.machine_jobs(evaluator.makespan_machine());
       if (critical_jobs.empty()) break;  // only ready time on the machine
-      const JobId a =
+      consider_partners_of(
           critical_jobs[static_cast<std::size_t>(
                             rng.bounded(critical_jobs.size()))]
-              .second;
-      for (JobId b = 0; b < n; ++b) {
-        if (evaluator.schedule()[b] == critical) continue;
-        consider(a, b);
-      }
+              .second);
       break;
     }
     case LmctsScan::kCriticalAllJobs: {
-      const MachineId critical = evaluator.makespan_machine();
-      // By reference: consider() only previews, and previews never touch
-      // the job lists, so there is nothing to keep iteration robust
-      // against — and the copy was an allocation per LMCTS step.
-      const auto& critical_jobs = evaluator.machine_jobs(critical);
-      for (const auto& [etc_a, a] : critical_jobs) {
-        for (JobId b = 0; b < n; ++b) {
-          if (evaluator.schedule()[b] == critical) continue;
-          consider(a, b);
-        }
-      }
+      // By reference: previews never touch the job lists, so there is
+      // nothing to keep iteration robust against — and a copy would be an
+      // allocation per LMCTS step.
+      const auto& critical_jobs =
+          evaluator.machine_jobs(evaluator.makespan_machine());
+      for (const auto& [etc_a, a] : critical_jobs) consider_partners_of(a);
       break;
     }
     case LmctsScan::kFull: {
       for (JobId a = 0; a < n; ++a) {
         for (JobId b = a + 1; b < n; ++b) {
           if (evaluator.schedule()[a] == evaluator.schedule()[b]) continue;
-          consider(a, b);
+          consider(a, b, evaluator.preview_swap(a, b));
         }
       }
       break;
@@ -139,7 +137,7 @@ bool step_lmcts(const LocalSearchConfig& config, const FitnessWeights& weights,
         if (a == b || evaluator.schedule()[a] == evaluator.schedule()[b]) {
           continue;
         }
-        consider(a, b);
+        consider(a, b, evaluator.preview_swap(a, b));
       }
       break;
     }

@@ -19,8 +19,13 @@
 // the paper's 450 MHz testbed could have sustained at 37 offspring x 5 LS
 // steps per iteration — so the default mirrors LM/SLM's "one random focus
 // job per step" shape: a random job on the makespan machine is paired
-// against every other job (O(n) previews). The heavier scans are kept as
-// config options and compared in bench/ablation_local_search.
+// against every job on another machine. Both critical-machine scans score
+// a focus job's partners in one ScheduleEvaluator::preview_swaps pass —
+// the focus job's removal, and per partner machine its insertion rank and
+// the rest-of-fleet makespan, are computed once, not once per partner —
+// yet count one preview per partner, each bitwise equal to preview_swap.
+// The heavier scans are kept as config options and compared in
+// bench/ablation_local_search.
 #pragma once
 
 #include <string_view>

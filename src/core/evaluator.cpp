@@ -281,89 +281,34 @@ void ScheduleEvaluator::canonicalize() {
 
 std::pair<double, double> ScheduleEvaluator::flow_completion_with(
     MachineId m, JobId skip, JobId add_job, double add_etc) const {
-  // Closed-form flow deltas over the cached prefix sums; rank lookups are
-  // O(1) (position index) for the removal and a vectorized count for the
-  // insertion.
-  //   remove at p (0-based, list size k):
-  //     flow -= ready + prefix[p] + (k - p) * e_p
-  //   insert x at q (list size k after removal):
-  //     flow += ready + prefix'(q) + (k + 1 - q) * x
+  // Closed-form flow deltas over the cached prefix sums (see Removal in the
+  // header); rank lookups are O(1) (position index) for the removal and a
+  // vectorized count for the insertion.
   const auto& state = machines_[static_cast<std::size_t>(m)];
   const double ready = etc_->ready_time(m);
-  std::size_t k = state.jobs.size();
+  const std::size_t k = state.jobs.size();
   // An emptied machine contributes exactly {0, ready}; snapping here keeps
   // the closed form residue-free so apply can adopt the values verbatim.
   if (k - (skip >= 0 ? 1u : 0u) + (add_job >= 0 ? 1u : 0u) == 0) {
     return {0.0, ready};
   }
-  double flow = state.flow;
-  double sum = state.completion - ready;
-
-  std::size_t removed_at = k;  // sentinel: nothing removed
-  double removed_etc = 0.0;
-  if (skip >= 0) {
-    // The position index answers "where does skip sit in m's list" in O(1);
-    // the cached key is the same double the ETC matrix holds.
-    removed_at = static_cast<std::size_t>(
-        job_pos_[static_cast<std::size_t>(skip)]);
-    removed_etc = state.jobs[removed_at].first;
-    flow -= ready + state.prefix[removed_at] +
-            static_cast<double>(k - removed_at) * removed_etc;
-    sum -= removed_etc;
-    --k;
-  }
-  if (add_job >= 0) {
-    // Insertion rank of (add_etc, add_job) in the pre-removal list: a
-    // branchless strictly-less count over the contiguous key array, four
-    // independent accumulator chains so the compare/set latency overlaps
-    // (no serial binary-search dependency), then an id-ordered walk across
-    // the — almost always empty — tie range.
-    const double* keys = state.keys.data();
-    const std::size_t kk = state.keys.size();
-    std::size_t q0 = 0, q1 = 0, q2 = 0, q3 = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= kk; i += 4) {
-      q0 += keys[i] < add_etc ? 1u : 0u;
-      q1 += keys[i + 1] < add_etc ? 1u : 0u;
-      q2 += keys[i + 2] < add_etc ? 1u : 0u;
-      q3 += keys[i + 3] < add_etc ? 1u : 0u;
-    }
-    for (; i < kk; ++i) q0 += keys[i] < add_etc ? 1u : 0u;
-    std::size_t q = q0 + q1 + q2 + q3;
-    while (q < kk && keys[q] == add_etc && state.jobs[q].second < add_job) {
-      ++q;
-    }
-    double prefix_q = state.prefix[q];
-    if (q > removed_at) {
-      --q;
-      prefix_q -= removed_etc;
-    }
-    flow += ready + prefix_q + static_cast<double>(k + 1 - q) * add_etc;
-    sum += add_etc;
-  }
-  return {flow, ready + sum};
+  const Removal r = removal(state, ready, skip);
+  if (add_job < 0) return {r.flow, ready + r.sum};
+  return with_insertion(state, ready, r,
+                        insertion_rank(state, add_etc, add_job), add_etc);
 }
 
 PreviewResult ScheduleEvaluator::preview_move(JobId job, MachineId to) const {
   const MachineId from = schedule_[job];
   if (from == to) return {objectives()};
-
-  const auto [flow_from, completion_from] =
-      flow_completion_with(from, job, -1, 0.0);
-  const auto [flow_to, completion_to] =
-      flow_completion_with(to, -1, job, (*etc_)(job, to));
-
-  // O(1): the rest of the fleet is summarized by the running flow total and
-  // the top-3 cache. The arithmetic mirrors apply_move's commit sequence
-  // (from first, then to) so the preview is bitwise reproducible.
-  double new_flowtime =
-      total_flow_ +
-      (flow_from - machines_[static_cast<std::size_t>(from)].flow);
-  new_flowtime += flow_to - machines_[static_cast<std::size_t>(to)].flow;
-  const double new_makespan =
-      std::max(rest_completion(from, to),
-               std::max(completion_from, completion_to));
-  return {Objectives{std::max(0.0, new_makespan), new_flowtime}};
+  // O(1) past the two machine terms: the rest of the fleet is summarized by
+  // the running flow total and the top-3 cache, and the arithmetic mirrors
+  // apply_move's commit sequence (from first, then to), so the preview is
+  // bitwise reproducible.
+  return two_machine_preview(
+      from, flow_completion_with(from, job, -1, 0.0), to,
+      flow_completion_with(to, -1, job, (*etc_)(job, to)),
+      rest_completion(from, to));
 }
 
 PreviewResult ScheduleEvaluator::preview_swap(JobId a, JobId b) const {
@@ -372,17 +317,49 @@ PreviewResult ScheduleEvaluator::preview_swap(JobId a, JobId b) const {
   if (ma == mb) {
     throw std::invalid_argument("preview_swap: jobs share a machine");
   }
-  const auto [flow_a, completion_a] =
-      flow_completion_with(ma, a, b, (*etc_)(b, ma));
-  const auto [flow_b, completion_b] =
-      flow_completion_with(mb, b, a, (*etc_)(a, mb));
+  return two_machine_preview(
+      ma, flow_completion_with(ma, a, b, (*etc_)(b, ma)), mb,
+      flow_completion_with(mb, b, a, (*etc_)(a, mb)), rest_completion(ma, mb));
+}
 
-  double new_flowtime =
-      total_flow_ + (flow_a - machines_[static_cast<std::size_t>(ma)].flow);
-  new_flowtime += flow_b - machines_[static_cast<std::size_t>(mb)].flow;
-  const double new_makespan =
-      std::max(rest_completion(ma, mb), std::max(completion_a, completion_b));
-  return {Objectives{std::max(0.0, new_makespan), new_flowtime}};
+void ScheduleEvaluator::fill_swap_scan(JobId a) {
+  const MachineId ma = schedule_[a];
+  swap_partners_.resize(static_cast<std::size_t>(num_machines()));
+  const std::span<const double> etc_a = etc_->row(a);
+  for (MachineId mb = 0; mb < num_machines(); ++mb) {
+    if (mb == ma) continue;
+    SwapPartnerMachine& p = swap_partners_[static_cast<std::size_t>(mb)];
+    p.ready = etc_->ready_time(mb);
+    p.etc = etc_a[static_cast<std::size_t>(mb)];
+    p.rank = insertion_rank(machines_[static_cast<std::size_t>(mb)], p.etc, a);
+    p.rest = rest_completion(ma, mb);
+  }
+  // Key-major, so the inner loops run across jobs and vectorize (SIMD
+  // compare-and-add, two jobs per instruction) rather than a k-long count
+  // per partner; four keys per pass cut the loads and stores of `below`
+  // fourfold. The counts are small integers, so every sum is exact.
+  const std::size_t n = static_cast<std::size_t>(num_jobs());
+  swap_below_.assign(n, 0.0);
+  double* below = swap_below_.data();
+  const double* etc_on_a = etc_->machine_row(ma).data();
+  const std::vector<double>& keys =
+      machines_[static_cast<std::size_t>(ma)].keys;
+  std::size_t i = 0;
+  for (; i + 4 <= keys.size(); i += 4) {
+    const double k0 = keys[i], k1 = keys[i + 1];
+    const double k2 = keys[i + 2], k3 = keys[i + 3];
+    for (std::size_t b = 0; b < n; ++b) {
+      const double x = etc_on_a[b];
+      below[b] += ((k0 < x ? 1.0 : 0.0) + (k1 < x ? 1.0 : 0.0)) +
+                  ((k2 < x ? 1.0 : 0.0) + (k3 < x ? 1.0 : 0.0));
+    }
+  }
+  for (; i < keys.size(); ++i) {
+    const double key = keys[i];
+    for (std::size_t b = 0; b < n; ++b) {
+      below[b] += key < etc_on_a[b] ? 1.0 : 0.0;
+    }
+  }
 }
 
 void ScheduleEvaluator::apply_move(JobId job, MachineId to) {

@@ -6,11 +6,17 @@
 // per-machine state (assigned jobs sorted by ETC, completion time, SPT
 // flowtime) plus two aggregate caches — a running total flowtime and a
 // top-3 completion-time cache — so that:
-//   - previewing a move/swap costs O(log k) in the two affected machines'
-//     job counts and is INDEPENDENT of the machine count: the flowtime is
-//     the running total plus two closed-form machine deltas, and the
-//     makespan is the maximum of the two new completion times and the
-//     first top-3 cache entry not owned by an affected machine,
+//   - previewing a move/swap costs O(k) in the two affected machines' job
+//     counts (an O(1) removal rank plus a vectorized insertion-rank count)
+//     and is INDEPENDENT of the machine count: the flowtime is the running
+//     total plus two closed-form machine deltas, and the makespan is the
+//     maximum of the two new completion times and the first top-3 cache
+//     entry not owned by an affected machine,
+//   - scoring every swap partner of one focus job (`preview_swaps`, the
+//     LMCTS scan) computes the partner-independent terms once per scan or
+//     once per partner machine, and every partner's insertion rank on the
+//     focus machine in one vectorized key-major count, leaving O(1) work
+//     per partner,
 //   - applying one costs O(k) for the two affected machines (sorted-list
 //     surgery plus a prefix-sum rebuild) and adopts the exact closed-form
 //     scalars the preview computed, so a preview is bitwise equal to
@@ -37,8 +43,10 @@
 //                   which minimizes flowtime for a fixed assignment.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -110,12 +118,26 @@ class ScheduleEvaluator {
   [[nodiscard]] MachineId makespan_machine() const;
 
   /// Objectives if job were moved to machine `to` (no state change).
-  /// O(log k) in the two affected machines — independent of machine count.
+  /// O(k) in the two affected machines — independent of machine count.
   [[nodiscard]] PreviewResult preview_move(JobId job, MachineId to) const;
 
   /// Objectives if jobs a and b (on different machines) swapped machines.
-  /// Precondition: schedule()[a] != schedule()[b].
+  /// Precondition: schedule()[a] != schedule()[b]. O(k), like preview_move.
   [[nodiscard]] PreviewResult preview_swap(JobId a, JobId b) const;
+
+  /// Scores every swap partner of focus job `a` in one pass: calls
+  /// visit(b, preview) for each job b on another machine, in ascending id
+  /// order, with `preview` bitwise equal to preview_swap(a, b). The terms
+  /// that do not depend on the partner — a's removal from its machine, and
+  /// per partner machine a's insertion rank and the rest-of-fleet makespan
+  /// — are computed once instead of once per partner, and the partners'
+  /// insertion ranks on a's machine come from one vectorized count. The
+  /// scan costs O(m k + n k_a) (k_a = jobs on a's machine) instead of n
+  /// previews at O(k_a + k_b) each. Leaves the schedule and every
+  /// objective untouched; it is non-const only because it fills scratch
+  /// tables.
+  template <typename Visit>
+  void preview_swaps(JobId a, Visit&& visit);
 
   /// Moves job to machine `to`. Adopts the closed-form scalars a preview
   /// of the same edit computes, so preview_move(job, to) followed by
@@ -201,6 +223,56 @@ class ScheduleEvaluator {
   [[nodiscard]] std::pair<double, double> flow_completion_with(
       MachineId m, JobId skip, JobId add_job, double add_etc) const;
 
+  // flow_completion_with's closed form, split into its removal, rank and
+  // insertion steps so preview_swaps can hoist the partner-independent
+  // ones while evaluating the very same FP expressions.
+  //   remove at p (0-based, list size k):
+  //     flow -= ready + prefix[p] + (k - p) * e_p
+  //   insert x at q (list size k after removal):
+  //     flow += ready + prefix'(q) + (k + 1 - q) * x
+  struct Removal {
+    double flow;     // machine flow with the removed job's term taken out
+    double sum;      // busy time (completion - ready) without the job
+    std::size_t k;   // list size after the removal
+    std::size_t at;  // removed rank; the list size when nothing is removed
+    double etc;      // removed ETC (0.0 when nothing is removed)
+  };
+  /// Machine state minus `skip` (nothing when skip < 0). O(1).
+  [[nodiscard]] Removal removal(const MachineState& state, double ready,
+                                JobId skip) const noexcept;
+  /// Rank of (etc, job) in the machine's pre-removal list. O(k).
+  [[nodiscard]] static std::size_t insertion_rank(const MachineState& state,
+                                                  double etc,
+                                                  JobId job) noexcept;
+  /// Advances `below` (the count of keys strictly below etc) across the
+  /// equal keys whose job id sorts before `job`, giving insertion_rank.
+  [[nodiscard]] static std::size_t settle_ties(const MachineState& state,
+                                               std::size_t below, double etc,
+                                               JobId job) noexcept;
+  /// {flow, completion} after inserting a job of ETC `etc` at
+  /// pre-removal rank q into the machine `r` was taken from. O(1).
+  [[nodiscard]] static std::pair<double, double> with_insertion(
+      const MachineState& state, double ready, const Removal& r,
+      std::size_t q, double etc) noexcept;
+  /// Objectives after an edit that leaves machine x at `side_x` and y at
+  /// `side_y` ({flow, completion} each); `rest` is rest_completion(x, y).
+  /// The flow arithmetic mirrors the apply commit order (x, then y).
+  [[nodiscard]] PreviewResult two_machine_preview(
+      MachineId x, std::pair<double, double> side_x, MachineId y,
+      std::pair<double, double> side_y, double rest) const noexcept;
+
+  // The focus job's terms on one partner machine of a preview_swaps scan.
+  struct SwapPartnerMachine {
+    double ready = 0.0;
+    double etc = 0.0;       // ETC of the focus job on this machine
+    std::size_t rank = 0;   // its insertion rank in this machine's list
+    double rest = 0.0;      // rest_completion(focus machine, this machine)
+  };
+  /// Fills the partner-independent tables of a preview_swaps scan of `a`:
+  /// swap_partners_, and swap_below_[b] = the count of keys on a's machine
+  /// strictly below job b's ETC there.
+  void fill_swap_scan(JobId a);
+
   const EtcMatrix* etc_;
   Schedule schedule_;
   std::vector<MachineState> machines_;
@@ -217,6 +289,113 @@ class ScheduleEvaluator {
   // surgery (stale for jobs mid-flight between erase and insert, which
   // previews never observe).
   std::vector<int> job_pos_;
+
+  // preview_swaps scratch. swap_below_ holds exact small counts as doubles
+  // so its fill loop (a compare mask feeding an add) vectorizes.
+  std::vector<SwapPartnerMachine> swap_partners_;
+  std::vector<double> swap_below_;
 };
+
+inline ScheduleEvaluator::Removal ScheduleEvaluator::removal(
+    const MachineState& state, double ready, JobId skip) const noexcept {
+  const std::size_t k = state.jobs.size();
+  Removal r{state.flow, state.completion - ready, k, k, 0.0};
+  if (skip >= 0) {
+    // The position index answers "where does skip sit in m's list" in O(1);
+    // the cached key is the same double the ETC matrix holds.
+    r.at = static_cast<std::size_t>(job_pos_[static_cast<std::size_t>(skip)]);
+    r.etc = state.keys[r.at];
+    r.flow -= ready + state.prefix[r.at] +
+              static_cast<double>(k - r.at) * r.etc;
+    r.sum -= r.etc;
+    --r.k;
+  }
+  return r;
+}
+
+inline std::size_t ScheduleEvaluator::insertion_rank(const MachineState& state,
+                                                     double etc,
+                                                     JobId job) noexcept {
+  // A branchless strictly-less count over the contiguous key array, four
+  // independent accumulator chains so the compare/set latency overlaps
+  // (no serial binary-search dependency), then the id-ordered tie walk.
+  const double* keys = state.keys.data();
+  const std::size_t kk = state.keys.size();
+  std::size_t q0 = 0, q1 = 0, q2 = 0, q3 = 0;
+  std::size_t i = 0;
+  for (; i + 4 <= kk; i += 4) {
+    q0 += keys[i] < etc ? 1u : 0u;
+    q1 += keys[i + 1] < etc ? 1u : 0u;
+    q2 += keys[i + 2] < etc ? 1u : 0u;
+    q3 += keys[i + 3] < etc ? 1u : 0u;
+  }
+  for (; i < kk; ++i) q0 += keys[i] < etc ? 1u : 0u;
+  return settle_ties(state, q0 + q1 + q2 + q3, etc, job);
+}
+
+inline std::size_t ScheduleEvaluator::settle_ties(const MachineState& state,
+                                                  std::size_t below,
+                                                  double etc,
+                                                  JobId job) noexcept {
+  // The equal-key range is almost always empty.
+  std::size_t q = below;
+  while (q < state.keys.size() && state.keys[q] == etc &&
+         state.jobs[q].second < job) {
+    ++q;
+  }
+  return q;
+}
+
+inline std::pair<double, double> ScheduleEvaluator::with_insertion(
+    const MachineState& state, double ready, const Removal& r, std::size_t q,
+    double etc) noexcept {
+  // Select, don't branch: across a swap scan whether the insertion lands
+  // past the removed job is a coin flip from partner to partner.
+  const bool past = q > r.at;
+  const double prefix_q[2] = {state.prefix[q], state.prefix[q] - r.etc};
+  q -= past ? 1u : 0u;
+  return {r.flow + (ready + prefix_q[past] +
+                    static_cast<double>(r.k + 1 - q) * etc),
+          ready + (r.sum + etc)};
+}
+
+inline PreviewResult ScheduleEvaluator::two_machine_preview(
+    MachineId x, std::pair<double, double> side_x, MachineId y,
+    std::pair<double, double> side_y, double rest) const noexcept {
+  double new_flowtime =
+      total_flow_ +
+      (side_x.first - machines_[static_cast<std::size_t>(x)].flow);
+  new_flowtime += side_y.first - machines_[static_cast<std::size_t>(y)].flow;
+  const double new_makespan =
+      std::max(rest, std::max(side_x.second, side_y.second));
+  return {Objectives{std::max(0.0, new_makespan), new_flowtime}};
+}
+
+template <typename Visit>
+void ScheduleEvaluator::preview_swaps(JobId a, Visit&& visit) {
+  const MachineId ma = schedule_[a];
+  fill_swap_scan(a);
+  const MachineState& sa = machines_[static_cast<std::size_t>(ma)];
+  const double ready_a = etc_->ready_time(ma);
+  const Removal ra = removal(sa, ready_a, a);
+  const std::span<const double> etc_on_a = etc_->machine_row(ma);
+  const std::span<const MachineId> genes = schedule_.genes();
+  for (std::size_t b = 0; b < genes.size(); ++b) {
+    const MachineId mb = genes[b];
+    if (mb == ma) continue;
+    const SwapPartnerMachine& p = swap_partners_[static_cast<std::size_t>(mb)];
+    const MachineState& sb = machines_[static_cast<std::size_t>(mb)];
+    const JobId job_b = static_cast<JobId>(b);
+    const double etc_b = etc_on_a[b];
+    const std::size_t rank_b = settle_ties(
+        sa, static_cast<std::size_t>(swap_below_[b]), etc_b, job_b);
+    visit(job_b,
+          two_machine_preview(
+              ma, with_insertion(sa, ready_a, ra, rank_b, etc_b), mb,
+              with_insertion(sb, p.ready, removal(sb, p.ready, job_b), p.rank,
+                             p.etc),
+              p.rest));
+  }
+}
 
 }  // namespace gridsched

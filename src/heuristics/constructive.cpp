@@ -293,21 +293,38 @@ Schedule min_min(const EtcMatrix& etc, const CancellationToken& cancel) {
   std::vector<JobId> unassigned(static_cast<std::size_t>(etc.num_jobs()));
   std::iota(unassigned.begin(), unassigned.end(), 0);
 
+  // best[i] caches loads.best(unassigned[i]) and is swap-removed in
+  // lockstep. A commit only grows the picked machine's load (ETCs are
+  // non-negative, as instance_io enforces), so a cached best on any other
+  // machine stays exact: its own completion is unchanged, and the grown
+  // machine was already strictly worse (lower id) or not better (higher
+  // id) than it. Each round rescans only the jobs whose best was the
+  // taken machine, which turns the O(n^2 m) rescan into O(n^2 + r m), r
+  // the rescans (about n/m a round when bests spread over the machines),
+  // with the same picks, tie-breaks included.
+  std::vector<MachineLoads::Best> best(unassigned.size());
+  for (std::size_t i = 0; i < unassigned.size(); ++i) {
+    best[i] = loads.best(unassigned[i]);
+  }
+  MachineId taken = -1;  // machine the previous round committed to
   while (!unassigned.empty() && !cancel.cancelled()) {
     std::size_t pick_idx = 0;
     double pick_score = std::numeric_limits<double>::infinity();
     MachineId pick_machine = 0;
     for (std::size_t i = 0; i < unassigned.size(); ++i) {
-      const auto b = loads.best(unassigned[i]);
-      if (b.completion < pick_score) {
-        pick_score = b.completion;
+      if (best[i].machine == taken) best[i] = loads.best(unassigned[i]);
+      if (best[i].completion < pick_score) {
+        pick_score = best[i].completion;
         pick_idx = i;
-        pick_machine = b.machine;
+        pick_machine = best[i].machine;
       }
     }
     loads.assign(schedule, unassigned[pick_idx], pick_machine);
+    taken = pick_machine;
     unassigned[pick_idx] = unassigned.back();
     unassigned.pop_back();
+    best[pick_idx] = best.back();
+    best.pop_back();
   }
 
   mct_tail(schedule, loads, unassigned);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -239,30 +241,167 @@ void fuzz_walk(const EtcMatrix& etc, std::uint64_t seed, int steps) {
   eval.check_consistency();
 }
 
+void set_random_ready_times(EtcMatrix& etc, std::uint64_t seed, double hi) {
+  Rng rng(seed);
+  for (MachineId m = 0; m < etc.num_machines(); ++m) {
+    etc.set_ready_time(m, rng.uniform(0.0, hi));
+  }
+}
+
+/// ETC values from {1..4} x `unit` make duplicate keys the common case, so
+/// the strictly-less insertion count plus the id-ordered tie walk is
+/// exercised on nearly every step. With unit = 1 every sum is exact, so a
+/// job's rank among equal keys cannot change a result; a non-dyadic unit
+/// (0.1) makes the sums round, so a wrong rank among ties shows.
+EtcMatrix small_integer_instance(int jobs, int machines, std::uint64_t seed,
+                                 double unit = 1.0) {
+  EtcMatrix etc(jobs, machines);
+  Rng rng(seed);
+  for (JobId j = 0; j < jobs; ++j) {
+    for (MachineId m = 0; m < machines; ++m) {
+      etc.set(j, m, static_cast<double>(rng.uniform_int(1, 4)) * unit);
+    }
+  }
+  return etc;
+}
+
 TEST(Evaluator, FuzzWalkPreviewExactlyEqualsApply) {
   InstanceSpec spec;
   spec.num_jobs = 80;
   spec.num_machines = 10;
   EtcMatrix etc = generate_instance(spec);
-  Rng ready_rng(11);
-  for (MachineId m = 0; m < etc.num_machines(); ++m) {
-    etc.set_ready_time(m, ready_rng.uniform(0.0, 50.0));
-  }
+  set_random_ready_times(etc, 11, 50.0);
   fuzz_walk(etc, 2024, 4096);
 }
 
 TEST(Evaluator, FuzzWalkSurvivesEqualEtcTies) {
-  // Small-integer ETC values make duplicate keys the common case, so the
-  // strictly-less insertion count plus the id-ordered tie walk is
-  // exercised on nearly every step.
-  EtcMatrix etc(48, 6);
-  Rng rng(77);
-  for (JobId j = 0; j < etc.num_jobs(); ++j) {
-    for (MachineId m = 0; m < etc.num_machines(); ++m) {
-      etc.set(j, m, static_cast<double>(rng.uniform_int(1, 4)));
+  fuzz_walk(small_integer_instance(48, 6, 77), 4242, 4096);
+}
+
+// ---------------------------------------------------------------------------
+// preview_swaps: the one-pass LMCTS scan must hand every partner, in id
+// order, a preview bitwise equal to preview_swap — on dirty fast scalars
+// (the walk never canonicalizes), empty machines and singleton focus
+// machines included.
+// ---------------------------------------------------------------------------
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+void expect_scan_matches_pairwise(ScheduleEvaluator& eval, JobId a) {
+  std::vector<JobId> expected;
+  for (JobId b = 0; b < eval.num_jobs(); ++b) {
+    if (eval.schedule()[b] != eval.schedule()[a]) expected.push_back(b);
+  }
+  std::vector<JobId> visited;
+  int mismatches = 0;
+  eval.preview_swaps(a, [&](JobId b, const PreviewResult& preview) {
+    visited.push_back(b);
+    const PreviewResult reference = eval.preview_swap(a, b);
+    if (!same_bits(preview.objectives.makespan,
+                   reference.objectives.makespan) ||
+        !same_bits(preview.objectives.flowtime,
+                   reference.objectives.flowtime)) {
+      ++mismatches;
+    }
+  });
+  EXPECT_EQ(visited, expected) << "focus " << a;
+  EXPECT_EQ(mismatches, 0) << "focus " << a;
+}
+
+/// What a scan walk covered, so each test can insist on its edge cases.
+struct ScanCoverage {
+  int scans = 0;
+  int singleton_focus = 0;  // focus job alone on its machine
+  int with_empty = 0;       // some machine held no jobs
+};
+
+/// A random walk of moves, swaps and machine drains (down to zero or one
+/// job) that never canonicalizes, so the fast scalars stay dirty; each
+/// step scans one focus job (the makespan machine's, a singleton's, or a
+/// random one) before editing.
+ScanCoverage swap_scan_walk(const EtcMatrix& etc, std::uint64_t seed,
+                            int steps) {
+  Rng rng(seed);
+  const int n = etc.num_jobs();
+  const int m = etc.num_machines();
+  ScheduleEvaluator eval(etc);
+  eval.reset(Schedule::random(n, m, rng));
+  ScanCoverage coverage;
+  for (int step = 0; step < steps; ++step) {
+    MachineId singleton = -1;
+    bool has_empty = false;
+    for (MachineId mm = 0; mm < m; ++mm) {
+      const std::size_t k = eval.machine_jobs(mm).size();
+      if (k == 1 && singleton < 0) singleton = mm;
+      has_empty = has_empty || k == 0;
+    }
+    JobId a = rng.uniform_int(0, n - 1);
+    const double pick = rng.uniform(0.0, 1.0);
+    const auto& critical = eval.machine_jobs(eval.makespan_machine());
+    if (pick < 0.3 && singleton >= 0) {
+      a = eval.machine_jobs(singleton).front().second;
+    } else if (pick < 0.6 && !critical.empty()) {
+      a = critical[static_cast<std::size_t>(rng.bounded(critical.size()))]
+              .second;
+    }
+    expect_scan_matches_pairwise(eval, a);
+    if (::testing::Test::HasFailure()) return coverage;
+    ++coverage.scans;
+    coverage.singleton_focus +=
+        eval.machine_jobs(eval.schedule()[a]).size() == 1 ? 1 : 0;
+    coverage.with_empty += has_empty ? 1 : 0;
+
+    const double edit = rng.uniform(0.0, 1.0);
+    if (edit < 0.45) {
+      MachineId to = rng.uniform_int(0, m - 2);
+      if (to >= eval.schedule()[a]) ++to;
+      eval.apply_move(a, to);
+    } else if (edit < 0.9) {
+      const JobId b = rng.uniform_int(0, n - 1);
+      if (eval.schedule()[a] != eval.schedule()[b]) eval.apply_swap(a, b);
+    } else {
+      // Drain a random machine down to `keep` jobs.
+      const MachineId from = rng.uniform_int(0, m - 1);
+      const std::size_t keep = rng.chance(0.5) ? 0 : 1;
+      while (eval.machine_jobs(from).size() > keep) {
+        MachineId to = rng.uniform_int(0, m - 2);
+        if (to >= from) ++to;
+        eval.apply_move(eval.machine_jobs(from).back().second, to);
+      }
     }
   }
-  fuzz_walk(etc, 4242, 4096);
+  eval.check_consistency();
+  return coverage;
+}
+
+void expect_edge_cases_covered(const ScanCoverage& coverage, int steps) {
+  EXPECT_EQ(coverage.scans, steps);
+  EXPECT_GT(coverage.singleton_focus, 0);
+  EXPECT_GT(coverage.with_empty, 0);
+}
+
+TEST(Evaluator, SwapScanEqualsPairwisePreviewsWithReadyTimes) {
+  InstanceSpec spec;
+  spec.num_jobs = 80;
+  spec.num_machines = 10;
+  EtcMatrix etc = generate_instance(spec);
+  set_random_ready_times(etc, 12, 50.0);
+  expect_edge_cases_covered(swap_scan_walk(etc, 2025, 4096), 4096);
+}
+
+TEST(Evaluator, SwapScanEqualsPairwisePreviewsOnEqualEtcTies) {
+  for (const double unit : {1.0, 0.1}) {
+    const EtcMatrix etc = small_integer_instance(48, 6, 78, unit);
+    expect_edge_cases_covered(swap_scan_walk(etc, 4243, 4096), 4096);
+  }
+}
+
+TEST(Evaluator, SwapScanEqualsPairwisePreviewsOnTwoMachines) {
+  EtcMatrix etc = small_integer_instance(30, 2, 79, 0.1);
+  set_random_ready_times(etc, 13, 5.0);
+  expect_edge_cases_covered(swap_scan_walk(etc, 4244, 4096), 4096);
 }
 
 // ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "core/evaluator.h"
 #include "etc/instance.h"
@@ -306,6 +309,111 @@ TEST(Heuristics, RandomUsesRngDeterministically) {
   Rng b(10);
   EXPECT_EQ(construct_schedule(HeuristicKind::kRandom, etc, a),
             construct_schedule(HeuristicKind::kRandom, etc, b));
+}
+
+
+// --- Min-Min against a naive oracle. ----------------------------------------
+
+/// The textbook O(n^2 m) Min-Min, kept deliberately naive as an oracle:
+/// every round rescans every unassigned job over every machine (strict <,
+/// so ties go to the lowest machine id), commits the first strictly
+/// smallest completion in `unassigned` order, and swap-removes the pick
+/// (which is what fixes that order for later tie-breaks).
+Schedule naive_min_min(const EtcMatrix& etc) {
+  Schedule schedule(etc.num_jobs());
+  std::vector<double> completion(etc.ready_times().begin(),
+                                 etc.ready_times().end());
+  std::vector<JobId> unassigned(static_cast<std::size_t>(etc.num_jobs()));
+  for (JobId j = 0; j < etc.num_jobs(); ++j) {
+    unassigned[static_cast<std::size_t>(j)] = j;
+  }
+  while (!unassigned.empty()) {
+    std::size_t pick_idx = 0;
+    double pick_score = std::numeric_limits<double>::infinity();
+    MachineId pick_machine = 0;
+    for (std::size_t i = 0; i < unassigned.size(); ++i) {
+      const JobId j = unassigned[i];
+      MachineId best_m = 0;
+      double best_c = completion[0] + etc(j, 0);
+      for (MachineId m = 1; m < etc.num_machines(); ++m) {
+        const double c = completion[static_cast<std::size_t>(m)] + etc(j, m);
+        if (c < best_c) {
+          best_c = c;
+          best_m = m;
+        }
+      }
+      if (best_c < pick_score) {
+        pick_score = best_c;
+        pick_idx = i;
+        pick_machine = best_m;
+      }
+    }
+    const JobId job = unassigned[pick_idx];
+    schedule[job] = pick_machine;
+    completion[static_cast<std::size_t>(pick_machine)] +=
+        etc(job, pick_machine);
+    unassigned[pick_idx] = unassigned.back();
+    unassigned.pop_back();
+  }
+  return schedule;
+}
+
+TEST_P(HeuristicSuiteTest, MinMinEqualsTheNaiveOracle) {
+  const EtcMatrix etc = instance();
+  EXPECT_EQ(min_min(etc), naive_min_min(etc));
+}
+
+/// Small-integer ETCs (optionally with zeros) and integer ready times:
+/// equal completion times, and so tie-breaks, on nearly every round.
+EtcMatrix tie_heavy_instance(int jobs, int machines, int lo, int hi,
+                             std::uint64_t seed, bool ready) {
+  EtcMatrix etc(jobs, machines);
+  Rng rng(seed);
+  for (JobId j = 0; j < jobs; ++j) {
+    for (MachineId m = 0; m < machines; ++m) {
+      etc.set(j, m, static_cast<double>(rng.uniform_int(lo, hi)));
+    }
+  }
+  if (ready) {
+    for (MachineId m = 0; m < machines; ++m) {
+      etc.set_ready_time(m, static_cast<double>(rng.uniform_int(0, 6)));
+    }
+  }
+  return etc;
+}
+
+TEST(MinMin, EqualsTheNaiveOracleOnTieHeavyInstances) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const EtcMatrix etc = tie_heavy_instance(90, 7, 1, 3, seed, false);
+    EXPECT_EQ(min_min(etc), naive_min_min(etc)) << seed;
+  }
+}
+
+TEST(MinMin, EqualsTheNaiveOracleWithReadyTimes) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const EtcMatrix etc = tie_heavy_instance(90, 7, 1, 4, seed, true);
+    EXPECT_EQ(min_min(etc), naive_min_min(etc)) << seed;
+  }
+  InstanceSpec spec;
+  spec.num_jobs = 150;
+  spec.num_machines = 12;
+  EtcMatrix etc = generate_instance(spec);
+  Rng rng(40);
+  for (MachineId m = 0; m < etc.num_machines(); ++m) {
+    etc.set_ready_time(m, rng.uniform(0.0, 500.0));
+  }
+  EXPECT_EQ(min_min(etc), naive_min_min(etc));
+}
+
+TEST(MinMin, EqualsTheNaiveOracleWithZeroEtcEntries) {
+  // A zero ETC leaves the picked machine's load unchanged, so the pick
+  // ties every cached candidate on that machine with its old value.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const EtcMatrix etc = tie_heavy_instance(90, 7, 0, 2, seed, seed % 2 == 0);
+    EXPECT_EQ(min_min(etc), naive_min_min(etc)) << seed;
+  }
+  const EtcMatrix all_zero(40, 5);
+  EXPECT_EQ(min_min(all_zero), naive_min_min(all_zero));
 }
 
 }  // namespace

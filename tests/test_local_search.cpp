@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <tuple>
 
@@ -346,6 +347,80 @@ TEST(Vns, DeterministicInSeed) {
     return eval.schedule();
   };
   EXPECT_EQ(run(), run());
+}
+
+
+// ---------------------------------------------------------------------------
+// Work-count pins: fixed-seed walks must keep their exact iteration,
+// improvement and preview counts (one preview per scored candidate) and
+// land on the same schedules. A scan rewrite that drifts the counts, or
+// that changes which candidate wins a tie, fails here rather than only
+// as a shifted cMA result downstream (bench/ablation_local_search, the
+// golden pins).
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over the genes: a stable fingerprint of the walk's end point.
+std::uint64_t gene_hash(const Schedule& s) {
+  std::uint64_t h = 1469598103934665603ULL;
+  for (const MachineId g : s.genes()) {
+    h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(g));
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+struct WalkPin {
+  int iterations_run;
+  int improvements;
+  std::int64_t previews;
+  std::uint64_t hash;  // gene hashes of every walk's end point, folded
+};
+
+/// Eight walks from fixed random starts, ready times nonzero, stats summed.
+WalkPin pinned_walks(const LocalSearchConfig& config) {
+  EtcMatrix etc = test_instance(96, 8);
+  Rng ready_rng(30);
+  for (MachineId m = 0; m < etc.num_machines(); ++m) {
+    etc.set_ready_time(m, ready_rng.uniform(0.0, 40.0));
+  }
+  Rng rng(31);
+  ScheduleEvaluator eval(etc);
+  WalkPin pin{0, 0, 0, 0};
+  for (int walk = 0; walk < 8; ++walk) {
+    eval.reset(Schedule::random(etc.num_jobs(), etc.num_machines(), rng));
+    const auto stats = local_search(config, kWeights, eval, rng);
+    pin.iterations_run += stats.iterations_run;
+    pin.improvements += stats.improvements;
+    pin.previews += stats.previews;
+    pin.hash = pin.hash * 31 + gene_hash(eval.schedule());
+  }
+  return pin;
+}
+
+void expect_pin(const LocalSearchConfig& config, const WalkPin& expected) {
+  const WalkPin got = pinned_walks(config);
+  EXPECT_EQ(got.iterations_run, expected.iterations_run);
+  EXPECT_EQ(got.improvements, expected.improvements);
+  EXPECT_EQ(got.previews, expected.previews);
+  EXPECT_EQ(got.hash, expected.hash);
+}
+
+TEST(LocalSearchPins, LmctsRandomFocusScan) {
+  LocalSearchConfig config{LocalSearchKind::kLmcts, 40};
+  expect_pin(config, {320, 271, 26211, 11376063054788830374ULL});
+  config.objective = LsObjective::kMakespan;
+  expect_pin(config, {320, 279, 26264, 5995574089159894780ULL});
+}
+
+TEST(LocalSearchPins, LmctsAllCriticalJobsScan) {
+  LocalSearchConfig config{LocalSearchKind::kLmcts, 40};
+  config.scan = LmctsScan::kCriticalAllJobs;
+  expect_pin(config, {318, 317, 340416, 17383176170700440523ULL});
+}
+
+TEST(LocalSearchPins, VnsLadder) {
+  const LocalSearchConfig config{LocalSearchKind::kVns, 40};
+  expect_pin(config, {320, 253, 7301, 7669176607265020078ULL});
 }
 
 }  // namespace
