@@ -53,17 +53,25 @@ std::vector<Schedule> converged_population(const EtcMatrix& etc, Rng& rng,
   return population;
 }
 
-void BM_EvaluatorReset(benchmark::State& state) {
+// Full rebuild, rotating through 64 distinct random schedules: replaying
+// one fixed schedule lets the branch predictor learn its per-machine sorts
+// and reads several times too fast.
+void BM_EvaluatorResetRotating(benchmark::State& state) {
   const EtcMatrix etc = bench_instance();
   Rng rng(1);
-  const Schedule s = Schedule::random(etc.num_jobs(), etc.num_machines(), rng);
+  std::vector<Schedule> pool;
+  for (int i = 0; i < 64; ++i) {
+    pool.push_back(Schedule::random(etc.num_jobs(), etc.num_machines(), rng));
+  }
   ScheduleEvaluator eval(etc);
+  std::size_t next = 0;
   for (auto _ : state) {
-    eval.reset(s);
+    eval.reset(pool[next]);
     benchmark::DoNotOptimize(eval.makespan());
+    next = (next + 1) % pool.size();
   }
 }
-BENCHMARK(BM_EvaluatorReset);
+BENCHMARK(BM_EvaluatorResetRotating);
 
 // Machine-count sweep: the point of the top-3 cache is that preview cost
 // does NOT grow with the fleet (the seed scanned all m completions per
@@ -102,14 +110,15 @@ void BM_PreviewSwap(benchmark::State& state) {
 }
 BENCHMARK(BM_PreviewSwap)->Arg(16)->Arg(64)->Arg(256);
 
-// Gene-diff re-target: evaluator flips between two schedules 32 genes
-// apart, the surgery path reset() replaced for offspring evaluation.
+// Gene-diff re-target: evaluator flips between two schedules 8 genes
+// apart, the surgery path reset_to takes below its max(n/32, m/2) rebuild
+// threshold (16 genes here).
 void BM_EvaluatorResetTo(benchmark::State& state) {
   const EtcMatrix etc = bench_instance();
   Rng rng(8);
   const Schedule a = Schedule::random(etc.num_jobs(), etc.num_machines(), rng);
   Schedule b = a;
-  for (int p = 0; p < 32; ++p) {
+  for (int p = 0; p < 8; ++p) {
     b[rng.uniform_int(0, etc.num_jobs() - 1)] =
         rng.uniform_int(0, etc.num_machines() - 1);
   }
@@ -194,7 +203,9 @@ BENCHMARK(BM_ApplyMove);
 
 /// One default LMCTS step (random critical job x every partner). Args:
 /// jobs, machines — 512x16 is the batch shape of the other cases, 150x12
-/// the per-shard batch the sharded service races.
+/// the per-shard batch the sharded service races, 125x8 the churn-heavy
+/// 8-machine shard (~16 jobs per machine, so the focus machine's share of
+/// the swap scan weighs most).
 void BM_LocalSearchLmctsStep(benchmark::State& state) {
   const EtcMatrix etc = bench_instance(static_cast<int>(state.range(0)),
                                        static_cast<int>(state.range(1)));
@@ -210,7 +221,10 @@ void BM_LocalSearchLmctsStep(benchmark::State& state) {
     benchmark::DoNotOptimize(local_search(config, weights, eval, rng));
   }
 }
-BENCHMARK(BM_LocalSearchLmctsStep)->Args({512, 16})->Args({150, 12});
+BENCHMARK(BM_LocalSearchLmctsStep)
+    ->Args({512, 16})
+    ->Args({150, 12})
+    ->Args({125, 8});
 
 void BM_OnePointCrossover(benchmark::State& state) {
   Rng rng(6);

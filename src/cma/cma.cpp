@@ -20,51 +20,83 @@ CellularMemeticAlgorithm::CellularMemeticAlgorithm(CmaConfig config)
   }
 }
 
-std::vector<Individual> CellularMemeticAlgorithm::initialize_population(
+std::vector<Individual> CellularMemeticAlgorithm::mesh_schedules(
     const EtcMatrix& etc, Rng& rng) const {
   const int pop_size = config_.pop_height * config_.pop_width;
-  std::vector<Individual> population;
-  population.reserve(static_cast<std::size_t>(pop_size));
-
+  std::vector<Individual> population(static_cast<std::size_t>(pop_size));
   if (config_.init == InitKind::kLjfrSjfr) {
     const Schedule seed = ljfr_sjfr(etc);
-    population.push_back(make_individual(seed, etc, config_.weights));
+    population[0].schedule = seed;
     for (int i = 1; i < pop_size; ++i) {
-      Schedule perturbed = seed;
+      Schedule& perturbed = population[static_cast<std::size_t>(i)].schedule;
+      perturbed = seed;
       perturbed.perturb(config_.init_perturbation, etc.num_machines(), rng);
-      population.push_back(
-          make_individual(std::move(perturbed), etc, config_.weights));
     }
   } else {
-    for (int i = 0; i < pop_size; ++i) {
-      population.push_back(make_individual(
-          Schedule::random(etc.num_jobs(), etc.num_machines(), rng), etc,
-          config_.weights));
+    for (Individual& individual : population) {
+      individual.schedule =
+          Schedule::random(etc.num_jobs(), etc.num_machines(), rng);
     }
+  }
+  return population;
+}
+
+std::vector<Individual> CellularMemeticAlgorithm::initialize_population(
+    const EtcMatrix& etc, Rng& rng) const {
+  std::vector<Individual> population = mesh_schedules(etc, rng);
+  ScheduleEvaluator evaluator(etc);
+  for (Individual& individual : population) {
+    evaluate_individual(individual, evaluator, config_.weights);
   }
   return population;
 }
 
 void CellularMemeticAlgorithm::apply_warm_start(
     std::vector<Individual>& population, std::span<const Schedule> warm,
-    const EtcMatrix& etc, EvolutionTracker* tracker) const {
+    ScheduleEvaluator& evaluator, EvolutionTracker* tracker) const {
   // Cell 0 keeps the constructive seed; warm elites fill the next cells.
   std::size_t cell = 1;
   for (const Schedule& schedule : warm) {
     if (cell >= population.size()) break;
-    if (schedule.num_jobs() != etc.num_jobs() ||
-        !schedule.complete(etc.num_machines())) {
+    if (schedule.num_jobs() != evaluator.num_jobs() ||
+        !schedule.complete(evaluator.num_machines())) {
       throw std::invalid_argument(
           "CellularMemeticAlgorithm: warm-start schedule does not fit the "
           "instance");
     }
-    population[cell] = make_individual(schedule, etc, config_.weights);
+    population[cell].schedule = schedule;
+    evaluate_individual(population[cell], evaluator, config_.weights);
     if (tracker != nullptr) {
       tracker->count_evaluations();
       tracker->offer(population[cell]);
     }
     ++cell;
   }
+}
+
+std::vector<Individual> CellularMemeticAlgorithm::initialize_mesh(
+    std::span<const Schedule> warm, Rng& rng, ScheduleEvaluator& evaluator,
+    EvolutionTracker& tracker,
+    const std::function<void(ScheduleEvaluator&)>& improve) const {
+  std::vector<Individual> population = mesh_schedules(evaluator.etc(), rng);
+  apply_warm_start(population, warm, evaluator, &tracker);
+  std::size_t cell = 0;
+  while (cell < population.size()) {
+    Individual& individual = population[cell++];
+    evaluator.reset_to(individual.schedule);
+    improve(evaluator);
+    assign_from_evaluator(individual, evaluator, config_.weights);
+    tracker.count_evaluations();
+    tracker.offer(individual);
+    // Poll after the first offer so a cancelled run still returns a valid
+    // best; bounds the portfolio's deadline overshoot to one local-search
+    // pass instead of a whole-mesh initialization.
+    if (tracker.should_stop()) break;
+  }
+  for (; cell < population.size(); ++cell) {
+    evaluate_individual(population[cell], evaluator, config_.weights);
+  }
+  return population;
 }
 
 EvolutionResult CellularMemeticAlgorithm::run(const EtcMatrix& etc) const {
@@ -77,21 +109,12 @@ EvolutionResult CellularMemeticAlgorithm::run(
   EvolutionTracker tracker(config_.stop, config_.record_progress);
 
   // --- Initialize the mesh; improve every individual by local search. ---
-  std::vector<Individual> population = initialize_population(etc, rng);
-  apply_warm_start(population, warm, etc, &tracker);
   ScheduleEvaluator evaluator(etc);
-  for (Individual& individual : population) {
-    evaluator.reset_to(individual.schedule);
-    local_search(config_.local_search, config_.weights, evaluator, rng,
-                 config_.stop.cancel);
-    assign_from_evaluator(individual, evaluator, config_.weights);
-    tracker.count_evaluations();
-    tracker.offer(individual);
-    // Poll after the first offer so a cancelled run still returns a valid
-    // best; bounds the portfolio's deadline overshoot to one local-search
-    // pass instead of a whole-mesh initialization.
-    if (tracker.should_stop()) break;
-  }
+  std::vector<Individual> population = initialize_mesh(
+      warm, rng, evaluator, tracker, [&](ScheduleEvaluator& cell) {
+        local_search(config_.local_search, config_.weights, cell, rng,
+                     config_.stop.cancel);
+      });
 
   const Topology topology(config_.pop_height, config_.pop_width,
                           config_.neighborhood);

@@ -14,6 +14,7 @@
 // mut_order there; DESIGN.md section 4 records the decision.
 #pragma once
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -30,8 +31,8 @@ class CellularMemeticAlgorithm {
   /// Runs the full algorithm on an instance. Deterministic in config.seed.
   [[nodiscard]] EvolutionResult run(const EtcMatrix& etc) const;
 
-  /// Warm-started run: the mesh is built by `initialize_population` as
-  /// usual, then cells starting at index 1 are overwritten with the given
+  /// Warm-started run: the mesh is built as by `initialize_population`,
+  /// then cells starting at index 1 are overwritten with the given
   /// schedules (cell 0 keeps the LJFR-SJFR seed so the constructive anchor
   /// survives a bad cache). Surplus schedules are ignored; schedules must
   /// be complete for the instance. Deterministic in (config.seed, warm).
@@ -40,21 +41,40 @@ class CellularMemeticAlgorithm {
 
   [[nodiscard]] const CmaConfig& config() const noexcept { return config_; }
 
-  /// Builds the initial mesh population for an instance (exposed for tests
-  /// and for warm-started dynamic scheduling).
+  /// Builds the initial mesh population for an instance, every cell
+  /// evaluated (exposed for tests and for warm-started dynamic scheduling).
   [[nodiscard]] std::vector<Individual> initialize_population(
       const EtcMatrix& etc, Rng& rng) const;
 
-  /// Overwrites mesh cells [1, 1 + warm.size()) with the warm schedules
-  /// (shared by the async and sync engines). Throws if a schedule does not
-  /// fit the instance. When a tracker is given, each inserted elite is
-  /// offered (and counted) immediately, so a cancellation during mesh
-  /// initialization can never discard a warm-start best.
+  /// Overwrites mesh cells [1, 1 + warm.size()) with the warm schedules,
+  /// each evaluated through `evaluator` (bound to the instance). Throws if
+  /// a schedule does not fit the instance. When a tracker is given, each
+  /// inserted elite is offered (and counted) immediately, so a
+  /// cancellation during mesh initialization can never discard a
+  /// warm-start best.
   void apply_warm_start(std::vector<Individual>& population,
-                        std::span<const Schedule> warm, const EtcMatrix& etc,
+                        std::span<const Schedule> warm,
+                        ScheduleEvaluator& evaluator,
                         EvolutionTracker* tracker = nullptr) const;
 
+  /// The mesh initialization of run(), shared by the async and sync
+  /// engines: builds the mesh (initialize_population's RNG draws), applies
+  /// the warm start, then re-targets `evaluator` at each cell in turn,
+  /// runs `improve` on it and publishes the result (counted and offered),
+  /// stopping after the first cell at which the tracker says stop. Cells
+  /// an early stop leaves unreached are evaluated unimproved, so every
+  /// returned individual is evaluated. Each schedule is evaluated once,
+  /// by the evaluator the run goes on to use.
+  [[nodiscard]] std::vector<Individual> initialize_mesh(
+      std::span<const Schedule> warm, Rng& rng, ScheduleEvaluator& evaluator,
+      EvolutionTracker& tracker,
+      const std::function<void(ScheduleEvaluator&)>& improve) const;
+
  private:
+  /// initialize_population's mesh with the same RNG draws, unevaluated.
+  [[nodiscard]] std::vector<Individual> mesh_schedules(const EtcMatrix& etc,
+                                                       Rng& rng) const;
+
   CmaConfig config_;
 };
 

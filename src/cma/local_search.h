@@ -22,8 +22,10 @@
 // against every job on another machine. Both critical-machine scans score
 // a focus job's partners in one ScheduleEvaluator::preview_swaps pass —
 // the focus job's removal, and per partner machine its insertion rank and
-// the rest-of-fleet makespan, are computed once, not once per partner —
-// yet count one preview per partner, each bitwise equal to preview_swap.
+// the rest-of-fleet makespan, are computed once, not once per partner, and
+// every partner's rank on the focus machine comes from one O(n + k) merge
+// against the matrix's sorted ETC column — yet count one preview per
+// partner, each bitwise equal to preview_swap.
 // The heavier scans are kept as config options and compared in
 // bench/ablation_local_search.
 #pragma once

@@ -47,26 +47,17 @@ EvolutionResult SynchronousCellularMa::run(
   Rng init_rng(config_.seed);
   EvolutionTracker tracker(config_.stop, config_.record_progress);
 
-  // Initial mesh: same recipe as the asynchronous engine.
-  const CellularMemeticAlgorithm initializer(config_);
+  // Initial mesh: same recipe as the asynchronous engine, each cell's
+  // local search on its own split stream.
+  ScheduleEvaluator init_evaluator(etc);
   std::vector<Individual> current =
-      initializer.initialize_population(etc, init_rng);
-  initializer.apply_warm_start(current, warm, etc, &tracker);
-  {
-    ScheduleEvaluator evaluator(etc);
-    for (Individual& individual : current) {
-      evaluator.reset_to(individual.schedule);
-      Rng rng = init_rng.split();
-      local_search(config_.local_search, config_.weights, evaluator, rng,
-                   config_.stop.cancel);
-      assign_from_evaluator(individual, evaluator, config_.weights);
-      tracker.count_evaluations();
-      tracker.offer(individual);
-      // Same early-out as the asynchronous engine: keep cancellation
-      // overshoot to one local-search pass, never less than one offer.
-      if (tracker.should_stop()) break;
-    }
-  }
+      CellularMemeticAlgorithm(config_).initialize_mesh(
+          warm, init_rng, init_evaluator, tracker,
+          [&](ScheduleEvaluator& cell) {
+            Rng rng = init_rng.split();
+            local_search(config_.local_search, config_.weights, cell, rng,
+                         config_.stop.cancel);
+          });
 
   const Topology topology(config_.pop_height, config_.pop_width,
                           config_.neighborhood);

@@ -1,6 +1,7 @@
 #include "core/evaluator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 
@@ -39,19 +40,45 @@ void ScheduleEvaluator::reset(const Schedule& schedule) {
   if (schedule.num_jobs() != etc_->num_jobs()) {
     throw std::invalid_argument("ScheduleEvaluator: schedule size mismatch");
   }
-  if (!schedule.complete(etc_->num_machines())) {
+  // Every gene must name a machine: Schedule::complete() also admits
+  // kRejected, which has no machine state to land in.
+  const auto fleet = static_cast<unsigned>(num_machines());
+  const auto genes = schedule.genes();
+  if (genes.empty() ||
+      std::any_of(genes.begin(), genes.end(), [fleet](MachineId g) {
+        return static_cast<unsigned>(g) >= fleet;
+      })) {
     throw std::invalid_argument("ScheduleEvaluator: incomplete schedule");
   }
   schedule_ = schedule;
-  for (auto& m : machines_) m.jobs.clear();
-  for (JobId j = 0; j < etc_->num_jobs(); ++j) {
-    const MachineId m = schedule_[j];
-    machines_[static_cast<std::size_t>(m)].jobs.emplace_back((*etc_)(j, m), j);
+  // Each machine's (etc, job)-sorted list is read off the matrix's sorted
+  // column instead of sorted here: mark every job's rank in its machine's
+  // column, then collect each machine's marks in rank order. O(n + m n/64).
+  const std::size_t n = genes.size();
+  const std::size_t words = (n + 63) / 64;
+  columns_.resize(machines_.size());
+  for (std::size_t m = 0; m < machines_.size(); ++m) {
+    columns_[m] = etc_->sorted_column(static_cast<MachineId>(m));
   }
-  for (MachineId m = 0; m < num_machines(); ++m) {
-    auto& state = machines_[static_cast<std::size_t>(m)];
-    std::sort(state.jobs.begin(), state.jobs.end());
-    recompute_machine(m);
+  rank_bits_.assign(machines_.size() * words, 0);
+  for (std::size_t j = 0; j < n; ++j) {
+    const auto m = static_cast<std::size_t>(genes[j]);
+    const auto r = static_cast<std::size_t>(columns_[m].rank[j]);
+    rank_bits_[m * words + r / 64] |= std::uint64_t{1} << (r % 64);
+  }
+  for (std::size_t m = 0; m < machines_.size(); ++m) {
+    auto& state = machines_[m];
+    const EtcMatrix::SortedColumn& column = columns_[m];
+    state.jobs.clear();
+    for (std::size_t w = 0; w < words; ++w) {
+      for (std::uint64_t bits = rank_bits_[m * words + w]; bits != 0;
+           bits &= bits - 1) {
+        const std::size_t r = w * 64 + static_cast<std::size_t>(
+                                           std::countr_zero(bits));
+        state.jobs.emplace_back(column.etc[r], column.jobs[r]);
+      }
+    }
+    recompute_machine(static_cast<MachineId>(m));
   }
   rebuild_caches();
 }
@@ -64,12 +91,25 @@ void ScheduleEvaluator::reset_to(const Schedule& target) {
   }
   const auto cur = schedule_.genes();
   const auto tgt = target.genes();
+  // Validate every gene before touching any state, so a bad target throws
+  // with the evaluator exactly as it was (signed compares and an int flag
+  // keep the loop vectorizable).
+  const MachineId fleet = num_machines();
   int diff = 0;
-  for (int j = 0; j < n; ++j) diff += cur[j] != tgt[j] ? 1 : 0;
-  // Past ~n/4 changed genes the per-gene list surgery (O(k) each) loses to
-  // one O(n log n) rebuild. The threshold cannot affect results: both
+  int out_of_range = 0;
+  for (int j = 0; j < n; ++j) {
+    diff += cur[j] != tgt[j] ? 1 : 0;
+    out_of_range |= (tgt[j] < 0) | (tgt[j] >= fleet);
+  }
+  if (out_of_range) {
+    throw std::invalid_argument("ScheduleEvaluator: reset_to gene out of range");
+  }
+  // Each changed gene costs O(k) of list surgery, while a rebuild reads
+  // the sorted columns in O(n + m n/64); the measured crossover sits near
+  // max(n/32, m/2) changed genes from 96x12 to 512x16
+  // (docs/performance.md). The threshold cannot affect results: both
   // paths end in the same canonical state.
-  if (4 * diff >= n) {
+  if (32 * diff >= n && 2 * diff >= fleet) {
     reset(target);
     return;
   }
@@ -77,9 +117,6 @@ void ScheduleEvaluator::reset_to(const Schedule& target) {
     const MachineId g_old = cur[j];
     const MachineId g_new = tgt[j];
     if (g_old == g_new) continue;
-    if (g_new < 0 || g_new >= num_machines()) {
-      throw std::invalid_argument("ScheduleEvaluator: reset_to gene out of range");
-    }
     list_erase(machines_[static_cast<std::size_t>(g_old)], (*etc_)(j, g_old),
                j);
     list_insert(machines_[static_cast<std::size_t>(g_new)], (*etc_)(j, g_new),
@@ -334,31 +371,21 @@ void ScheduleEvaluator::fill_swap_scan(JobId a) {
     p.rank = insertion_rank(machines_[static_cast<std::size_t>(mb)], p.etc, a);
     p.rest = rest_completion(ma, mb);
   }
-  // Key-major, so the inner loops run across jobs and vectorize (SIMD
-  // compare-and-add, two jobs per instruction) rather than a k-long count
-  // per partner; four keys per pass cut the loads and stores of `below`
-  // fourfold. The counts are small integers, so every sum is exact.
-  const std::size_t n = static_cast<std::size_t>(num_jobs());
-  swap_below_.assign(n, 0.0);
-  double* below = swap_below_.data();
-  const double* etc_on_a = etc_->machine_row(ma).data();
+  // Every job's count of keys on a's machine strictly below its ETC there,
+  // as one merge: walking that machine's ETC column in ascending order,
+  // the count only grows, so a single cursor into the sorted keys answers
+  // all n jobs in O(n + k_a). The column order is the matrix's, built once
+  // and shared by every evaluator bound to it.
+  const EtcMatrix::SortedColumn column = etc_->sorted_column(ma);
   const std::vector<double>& keys =
       machines_[static_cast<std::size_t>(ma)].keys;
-  std::size_t i = 0;
-  for (; i + 4 <= keys.size(); i += 4) {
-    const double k0 = keys[i], k1 = keys[i + 1];
-    const double k2 = keys[i + 2], k3 = keys[i + 3];
-    for (std::size_t b = 0; b < n; ++b) {
-      const double x = etc_on_a[b];
-      below[b] += ((k0 < x ? 1.0 : 0.0) + (k1 < x ? 1.0 : 0.0)) +
-                  ((k2 < x ? 1.0 : 0.0) + (k3 < x ? 1.0 : 0.0));
-    }
-  }
-  for (; i < keys.size(); ++i) {
-    const double key = keys[i];
-    for (std::size_t b = 0; b < n; ++b) {
-      below[b] += key < etc_on_a[b] ? 1.0 : 0.0;
-    }
+  swap_below_.resize(column.jobs.size());
+  std::size_t below = 0;
+  for (std::size_t i = 0; i < column.jobs.size(); ++i) {
+    const double x = column.etc[i];
+    while (below < keys.size() && keys[below] < x) ++below;
+    swap_below_[static_cast<std::size_t>(column.jobs[i])] =
+        static_cast<std::uint32_t>(below);
   }
 }
 

@@ -15,16 +15,18 @@
 //   - scoring every swap partner of one focus job (`preview_swaps`, the
 //     LMCTS scan) computes the partner-independent terms once per scan or
 //     once per partner machine, and every partner's insertion rank on the
-//     focus machine in one vectorized key-major count, leaving O(1) work
-//     per partner,
+//     focus machine in one merge of the focus machine's keys against the
+//     matrix's sorted ETC column, leaving O(1) work per partner,
 //   - applying one costs O(k) for the two affected machines (sorted-list
 //     surgery plus a prefix-sum rebuild) and adopts the exact closed-form
 //     scalars the preview computed, so a preview is bitwise equal to
 //     apply-then-measure,
-//   - re-targeting the evaluator at a sibling schedule (`reset_to`) costs
-//     O(n + d k) where d is the number of differing genes, instead of the
-//     full O(n log n) rebuild — the delta path the cMA offspring pipeline
-//     rides (docs/performance.md documents the invariants and formulas).
+//   - a full rebuild (`reset`) costs O(n + m n / 64): each machine's
+//     sorted list is read off the matrix's sorted ETC column rather than
+//     sorted, and re-targeting at a sibling schedule (`reset_to`) costs
+//     O(n + d k) where d is the number of differing genes — the delta path
+//     the cMA offspring pipeline rides (docs/performance.md documents the
+//     invariants and formulas).
 //
 // Canonical vs. fast scalars: closed-form deltas round differently than a
 // from-scratch summation, so machines touched by apply_move/apply_swap are
@@ -71,8 +73,11 @@ class ScheduleEvaluator {
   explicit ScheduleEvaluator(const EtcMatrix& etc);
 
   /// Loads a complete schedule and (re)builds all machine state from
-  /// scratch. O(n log n). Recycles every internal buffer, so a warm reset
-  /// allocates nothing once capacities have grown to steady state.
+  /// scratch. O(n + m n / 64), plus the matrix's one-time column sort on
+  /// first use (EtcMatrix::sorted_column). Throws std::invalid_argument,
+  /// leaving the state untouched, unless every gene names a machine.
+  /// Recycles every internal buffer, so a warm reset allocates nothing
+  /// once capacities have grown to steady state.
   void reset(const Schedule& schedule);
 
   /// Re-targets the evaluator at `target` by replaying only the genes that
@@ -80,7 +85,9 @@ class ScheduleEvaluator {
   /// machines — bitwise identical to reset(target) at a fraction of the
   /// cost when the two schedules are similar (offspring vs. parent).
   /// Falls back to reset(target) when the evaluator is empty or the diff
-  /// is large enough that the full rebuild is cheaper.
+  /// is large enough that the full rebuild is cheaper. Validates every
+  /// gene first: a target gene outside [0, m) throws
+  /// std::invalid_argument with the state untouched.
   void reset_to(const Schedule& target);
 
   [[nodiscard]] const Schedule& schedule() const noexcept { return schedule_; }
@@ -131,11 +138,12 @@ class ScheduleEvaluator {
   /// that do not depend on the partner — a's removal from its machine, and
   /// per partner machine a's insertion rank and the rest-of-fleet makespan
   /// — are computed once instead of once per partner, and the partners'
-  /// insertion ranks on a's machine come from one vectorized count. The
-  /// scan costs O(m k + n k_a) (k_a = jobs on a's machine) instead of n
-  /// previews at O(k_a + k_b) each. Leaves the schedule and every
-  /// objective untouched; it is non-const only because it fills scratch
-  /// tables.
+  /// insertion ranks on a's machine come from one merge against the
+  /// matrix's sorted column (EtcMatrix::sorted_column). The scan costs
+  /// O(m k + n + k_a) (k_a = jobs on a's machine) instead of n previews at
+  /// O(k_a + k_b) each, plus the matrix's one-time O(m n log n) column sort
+  /// on its first scan. Leaves the schedule and every objective untouched;
+  /// it is non-const only because it fills scratch tables.
   template <typename Visit>
   void preview_swaps(JobId a, Visit&& visit);
 
@@ -270,7 +278,7 @@ class ScheduleEvaluator {
   };
   /// Fills the partner-independent tables of a preview_swaps scan of `a`:
   /// swap_partners_, and swap_below_[b] = the count of keys on a's machine
-  /// strictly below job b's ETC there.
+  /// strictly below job b's ETC there. O(m k + n + k_a).
   void fill_swap_scan(JobId a);
 
   const EtcMatrix* etc_;
@@ -290,10 +298,14 @@ class ScheduleEvaluator {
   // previews never observe).
   std::vector<int> job_pos_;
 
-  // preview_swaps scratch. swap_below_ holds exact small counts as doubles
-  // so its fill loop (a compare mask feeding an add) vectorizes.
+  // reset scratch: the matrix's sorted columns, and one bit per (machine,
+  // column rank) marking the jobs the schedule puts there.
+  std::vector<EtcMatrix::SortedColumn> columns_;
+  std::vector<std::uint64_t> rank_bits_;
+
+  // preview_swaps scratch (see fill_swap_scan).
   std::vector<SwapPartnerMachine> swap_partners_;
-  std::vector<double> swap_below_;
+  std::vector<std::uint32_t> swap_below_;
 };
 
 inline ScheduleEvaluator::Removal ScheduleEvaluator::removal(
@@ -388,7 +400,7 @@ void ScheduleEvaluator::preview_swaps(JobId a, Visit&& visit) {
     const JobId job_b = static_cast<JobId>(b);
     const double etc_b = etc_on_a[b];
     const std::size_t rank_b = settle_ties(
-        sa, static_cast<std::size_t>(swap_below_[b]), etc_b, job_b);
+        sa, swap_below_[b], etc_b, job_b);
     visit(job_b,
           two_machine_preview(
               ma, with_insertion(sa, ready_a, ra, rank_b, etc_b), mb,

@@ -6,17 +6,17 @@ Individual make_individual(Schedule schedule, const EtcMatrix& etc,
                            const FitnessWeights& weights) {
   Individual individual;
   individual.schedule = std::move(schedule);
-  evaluate_individual(individual, etc, weights);
+  ScheduleEvaluator evaluator(etc);
+  evaluate_individual(individual, evaluator, weights);
   return individual;
 }
 
-void evaluate_individual(Individual& individual, const EtcMatrix& etc,
+void evaluate_individual(Individual& individual, ScheduleEvaluator& evaluator,
                          const FitnessWeights& weights) {
-  ScheduleEvaluator evaluator(etc);
-  evaluator.reset(individual.schedule);
+  evaluator.reset_to(individual.schedule);
   individual.objectives = evaluator.objectives();
   individual.fitness =
-      individual.objectives.fitness(weights, etc.num_machines());
+      individual.objectives.fitness(weights, evaluator.num_machines());
 }
 
 Individual individual_from_evaluator(const ScheduleEvaluator& evaluator,

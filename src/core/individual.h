@@ -21,13 +21,19 @@ struct Individual {
   }
 };
 
-/// Fully evaluates `schedule` against `etc` and packages it. O(n log n).
+/// Fully evaluates `schedule` against `etc` on a fresh evaluator and
+/// packages it. A full rebuild plus the evaluator's allocation — for
+/// one-off callers; an engine evaluating many schedules goes through its
+/// own evaluator with evaluate_individual instead.
 [[nodiscard]] Individual make_individual(Schedule schedule,
                                          const EtcMatrix& etc,
                                          const FitnessWeights& weights);
 
-/// Re-evaluates an individual in place (after its schedule was mutated).
-void evaluate_individual(Individual& individual, const EtcMatrix& etc,
+/// Re-evaluates an individual in place through `evaluator`, which is left
+/// holding its schedule: re-targeted via reset_to, so only the genes that
+/// differ from the evaluator's current schedule are replayed. The result
+/// is bitwise equal to make_individual(individual.schedule, ...).
+void evaluate_individual(Individual& individual, ScheduleEvaluator& evaluator,
                          const FitnessWeights& weights);
 
 /// Copies the evaluator's current state (schedule + objectives) into an

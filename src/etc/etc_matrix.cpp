@@ -41,6 +41,42 @@ void EtcMatrix::rebuild_mirror() {
   }
 }
 
+EtcMatrix::SortedColumn EtcMatrix::sorted_column(MachineId machine) const {
+  assert(machine >= 0 && machine < num_machines_);
+  if (!order_.built.load(std::memory_order_acquire)) build_column_order();
+  const std::size_t n = static_cast<std::size_t>(num_jobs_);
+  const std::size_t base = static_cast<std::size_t>(machine) * n;
+  return {{order_.etc.data() + base, n},
+          {order_.jobs.data() + base, n},
+          {order_.rank.data() + base, n}};
+}
+
+void EtcMatrix::build_column_order() const {
+  const std::lock_guard<std::mutex> lock(order_.mutex);
+  if (order_.built.load(std::memory_order_relaxed)) return;
+  const std::size_t n = static_cast<std::size_t>(num_jobs_);
+  order_.etc.resize(values_cm_.size());
+  order_.jobs.resize(values_cm_.size());
+  order_.rank.resize(values_cm_.size());
+  for (std::size_t base = 0; base < values_cm_.size(); base += n) {
+    const double* column = values_cm_.data() + base;
+    const auto jobs = order_.jobs.begin() + static_cast<std::ptrdiff_t>(base);
+    std::iota(jobs, jobs + static_cast<std::ptrdiff_t>(n), 0);
+    std::sort(jobs, jobs + static_cast<std::ptrdiff_t>(n),
+              [column](JobId a, JobId b) {
+                const double ea = column[static_cast<std::size_t>(a)];
+                const double eb = column[static_cast<std::size_t>(b)];
+                return ea != eb ? ea < eb : a < b;
+              });
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto job = static_cast<std::size_t>(order_.jobs[base + i]);
+      order_.etc[base + i] = column[job];
+      order_.rank[base + job] = static_cast<int>(i);
+    }
+  }
+  order_.built.store(true, std::memory_order_release);
+}
+
 double EtcMatrix::mean_row(JobId job) const noexcept {
   const auto r = row(job);
   return std::accumulate(r.begin(), r.end(), 0.0) /

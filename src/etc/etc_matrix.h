@@ -6,7 +6,9 @@
 // work it already has). This is the only input the schedulers see.
 #pragma once
 
+#include <atomic>
 #include <cassert>
+#include <mutex>
 #include <span>
 #include <vector>
 
@@ -45,10 +47,12 @@ class EtcMatrix {
   }
 
   /// Writes one entry, updating both the row-major storage and the
-  /// machine-major mirror (the reason there is no mutable operator()).
+  /// machine-major mirror (the reason there is no mutable operator()), and
+  /// drops the sorted column order so the next sorted_column() rebuilds it.
   void set(JobId job, MachineId machine, double value) noexcept {
     assert(job >= 0 && job < num_jobs_);
     assert(machine >= 0 && machine < num_machines_);
+    order_.invalidate();
     values_[static_cast<std::size_t>(job) *
                 static_cast<std::size_t>(num_machines_) +
             static_cast<std::size_t>(machine)] = value;
@@ -74,6 +78,21 @@ class EtcMatrix {
                                     static_cast<std::size_t>(num_jobs_),
             static_cast<std::size_t>(num_jobs_)};
   }
+
+  /// One machine's column in ascending (etc, job) order: jobs[i] is the
+  /// job with the i-th smallest ETC on the machine (equal ETCs by job id),
+  /// etc[i] that ETC, and rank[j] job j's position i.
+  struct SortedColumn {
+    std::span<const double> etc;
+    std::span<const JobId> jobs;
+    std::span<const int> rank;
+  };
+  /// The first call sorts every column, O(m n log n) once per matrix;
+  /// later calls are O(1) and read the shared result, so evaluators bound
+  /// to one matrix pay the sort once between them. Safe to call from
+  /// several threads at once. set() invalidates the order, and a copied
+  /// or assigned matrix starts without one. ETC values must not be NaN.
+  [[nodiscard]] SortedColumn sorted_column(MachineId machine) const;
 
   /// Ready time of `machine` (time at which it becomes free for this batch).
   [[nodiscard]] double ready_time(MachineId machine) const noexcept {
@@ -105,11 +124,36 @@ class EtcMatrix {
   /// Rebuilds the machine-major mirror from the row-major storage.
   void rebuild_mirror();
 
+  // The lazily built column order behind sorted_column(). Copying yields
+  // an unbuilt order rather than sharing or copying the source's, so a
+  // copy mutated by set() can never read the original's order, nor the
+  // original the copy's.
+  struct ColumnOrder {
+    ColumnOrder() = default;
+    ColumnOrder(const ColumnOrder&) noexcept {}
+    ColumnOrder& operator=(const ColumnOrder&) noexcept {
+      invalidate();
+      return *this;
+    }
+    void invalidate() noexcept {
+      built.store(false, std::memory_order_relaxed);
+    }
+
+    std::mutex mutex;              // serializes the (re)build
+    std::atomic<bool> built{false};  // release-published by the build
+    std::vector<double> etc;       // machine-major, each column ascending
+    std::vector<JobId> jobs;       // the job of each etc entry
+    std::vector<int> rank;         // machine-major: each job's position
+  };
+  /// Sorts every column into order_ unless another thread already has.
+  void build_column_order() const;
+
   int num_jobs_ = 0;
   int num_machines_ = 0;
   std::vector<double> values_;     // row-major: values_[job * m + machine]
   std::vector<double> values_cm_;  // machine-major: values_cm_[machine*n + job]
   std::vector<double> ready_times_;
+  mutable ColumnOrder order_;
 };
 
 }  // namespace gridsched

@@ -14,18 +14,21 @@ std::vector<Individual> seed_population(int size, const GaSeeding& seeding,
   if (size <= 0) throw std::invalid_argument("seed_population: empty");
   std::vector<Individual> population;
   population.reserve(static_cast<std::size_t>(size));
+  // One evaluator for the whole population, re-targeted per individual.
+  ScheduleEvaluator evaluator(etc);
+  auto add = [&](Schedule schedule) {
+    Individual& individual = population.emplace_back();
+    individual.schedule = std::move(schedule);
+    evaluate_individual(individual, evaluator, weights);
+  };
   for (HeuristicKind kind : seeding.heuristic_seeds) {
     if (static_cast<int>(population.size()) >= size) break;
     if (cancel.cancelled()) break;  // random fill is all the budget allows
-    const Schedule seed = kind == HeuristicKind::kMinMin
-                              ? min_min(etc, cancel)
-                              : construct_schedule(kind, etc, rng);
-    population.push_back(make_individual(seed, etc, weights));
+    add(kind == HeuristicKind::kMinMin ? min_min(etc, cancel)
+                                       : construct_schedule(kind, etc, rng));
   }
   while (static_cast<int>(population.size()) < size) {
-    population.push_back(make_individual(
-        Schedule::random(etc.num_jobs(), etc.num_machines(), rng), etc,
-        weights));
+    add(Schedule::random(etc.num_jobs(), etc.num_machines(), rng));
   }
   return population;
 }

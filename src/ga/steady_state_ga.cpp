@@ -63,7 +63,7 @@ EvolutionResult SteadyStateGa::run(const EtcMatrix& etc) const {
       }
       // One shared evaluator re-targeted per child: the gene-diff reset
       // replaces both the per-mutation full rebuild and the from-scratch
-      // evaluator evaluate_individual() would construct. Same RNG draws,
+      // evaluator make_individual() would construct. Same RNG draws,
       // same (canonical) objective values.
       const bool do_mutate = rng.chance(config_.mutation_rate);
       evaluator.reset_to(child.schedule);

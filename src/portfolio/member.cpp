@@ -102,7 +102,7 @@ MemberResult LahcMember::solve(const EtcMatrix& etc, const StopCondition& stop,
   Schedule start;
   double start_fitness = std::numeric_limits<double>::infinity();
   for (const Schedule& candidate : warm) {
-    evaluator.reset(candidate);
+    evaluator.reset_to(candidate);
     tracker.count_evaluations();
     const double fitness = evaluator.fitness(config_.weights);
     if (fitness < start_fitness) {
@@ -114,7 +114,7 @@ MemberResult LahcMember::solve(const EtcMatrix& etc, const StopCondition& stop,
     start = construct_schedule(HeuristicKind::kMct, etc, rng, stop.cancel);
     tracker.count_evaluations();
   }
-  evaluator.reset(start);
+  evaluator.reset_to(start);
   double current = evaluator.fitness(config_.weights);
   tracker.offer(individual_from_evaluator(evaluator, config_.weights));
 

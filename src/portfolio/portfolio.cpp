@@ -165,10 +165,12 @@ Schedule PortfolioBatchScheduler::schedule_batch(const EtcMatrix& etc,
 
   // --- Pick the winner under the portfolio's own weights (members could
   // carry different scalarizations; normalize before comparing). ---
+  // One evaluator, re-targeted at each member's best.
   std::vector<Individual> normalized(runners.size());
+  ScheduleEvaluator evaluator(etc);
   for (std::size_t slot = 0; slot < runners.size(); ++slot) {
-    normalized[slot] =
-        make_individual(results[slot].best.schedule, etc, config_.weights);
+    normalized[slot].schedule = results[slot].best.schedule;
+    evaluate_individual(normalized[slot], evaluator, config_.weights);
   }
   // QoS batches (any finite relative deadline) pick the winner on the
   // (makespan, missed deadlines, cost) Pareto front instead of scalar

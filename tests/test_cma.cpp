@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "etc/instance.h"
 #include "heuristics/constructive.h"
@@ -17,6 +20,27 @@ EtcMatrix small_instance(Consistency consistency = Consistency::kConsistent) {
   spec.num_machines = 8;
   spec.consistency = consistency;
   return generate_instance(spec);
+}
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+/// Every individual's published objectives and fitness are bitwise what a
+/// from-scratch evaluation of its schedule gives.
+void expect_evaluated(const std::vector<Individual>& population,
+                      const EtcMatrix& etc, const FitnessWeights& weights) {
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    const Individual& individual = population[i];
+    const Individual fresh = make_individual(individual.schedule, etc, weights);
+    EXPECT_TRUE(same_bits(individual.objectives.makespan,
+                          fresh.objectives.makespan))
+        << "cell " << i;
+    EXPECT_TRUE(same_bits(individual.objectives.flowtime,
+                          fresh.objectives.flowtime))
+        << "cell " << i;
+    EXPECT_TRUE(same_bits(individual.fitness, fresh.fitness)) << "cell " << i;
+  }
 }
 
 /// Evaluation-bounded config so tests are timing-independent.
@@ -278,6 +302,56 @@ TEST(Cma, WorksOnEveryBenchmarkClass) {
     const Individual seed =
         make_individual(ljfr_sjfr(etc), etc, FitnessWeights{});
     EXPECT_LE(result.best.fitness, seed.fitness) << base.name();
+  }
+}
+
+TEST(Cma, StopDuringMeshInitLeavesEveryCellEvaluated) {
+  // A budget below the mesh size stops mesh initialization part-way; the
+  // kept population must still be fully evaluated, bitwise as a fresh
+  // evaluation would publish it, with the unreached cells holding exactly
+  // the schedules the warm start or initialize_population put there.
+  const EtcMatrix etc = small_instance();
+  Rng warm_rng(91);
+  std::vector<Schedule> warm;
+  for (int i = 0; i < 8; ++i) {
+    warm.push_back(Schedule::random(etc.num_jobs(), etc.num_machines(),
+                                    warm_rng));
+  }
+  for (const std::size_t warm_count : {std::size_t{0}, std::size_t{3},
+                                       std::size_t{8}}) {
+    CmaConfig config = fast_config(10);
+    config.keep_final_population = true;
+    const std::span<const Schedule> warm_cells(warm.data(), warm_count);
+    const auto result = CellularMemeticAlgorithm(config).run(etc, warm_cells);
+    ASSERT_EQ(result.population.size(), 25u);
+    EXPECT_EQ(result.evaluations, 10);
+    expect_evaluated(result.population, etc, config.weights);
+    expect_evaluated({result.best}, etc, config.weights);
+
+    // Warm cells count as evaluations, so 10 - warm_count cells were
+    // improved; every later cell is as the mesh build left it.
+    const std::size_t reached = 10 - warm_count;
+    Rng rng(config.seed);
+    const auto initial =
+        CellularMemeticAlgorithm(config).initialize_population(etc, rng);
+    for (std::size_t cell = reached; cell < 25; ++cell) {
+      const Schedule& expected = cell >= 1 && cell <= warm_count
+                                     ? warm[cell - 1]
+                                     : initial[cell].schedule;
+      EXPECT_EQ(result.population[cell].schedule, expected) << cell;
+    }
+  }
+}
+
+TEST(Cma, InitialPopulationIsEvaluated) {
+  const EtcMatrix etc = small_instance();
+  for (const InitKind init : {InitKind::kLjfrSjfr, InitKind::kRandom}) {
+    CmaConfig config = fast_config();
+    config.init = init;
+    Rng rng(2);
+    expect_evaluated(
+        CellularMemeticAlgorithm(config).initialize_population(etc, rng), etc,
+        config.weights);
   }
 }
 

@@ -265,6 +265,46 @@ EtcMatrix small_integer_instance(int jobs, int machines, std::uint64_t seed,
   return etc;
 }
 
+/// Each machine's list as a from-scratch sort of its (etc, job) pairs.
+std::vector<std::vector<std::pair<double, JobId>>> sorted_lists(
+    const EtcMatrix& etc, const Schedule& schedule) {
+  std::vector<std::vector<std::pair<double, JobId>>> lists(
+      static_cast<std::size_t>(etc.num_machines()));
+  for (JobId j = 0; j < etc.num_jobs(); ++j) {
+    lists[static_cast<std::size_t>(schedule[j])].emplace_back(
+        etc(j, schedule[j]), j);
+  }
+  for (auto& list : lists) std::sort(list.begin(), list.end());
+  return lists;
+}
+
+TEST(Evaluator, ResetListsEqualASortOfEachMachinesPairs) {
+  // reset() reads each machine's list off the matrix's sorted column; it
+  // must equal sorting that machine's (etc, job) pairs, ties included, at
+  // job counts below, at and above one 64-bit word of ranks, and again
+  // after set() rewrites the matrix.
+  for (const int jobs : {1, 5, 64, 150}) {
+    for (const double unit : {1.0, 0.1}) {
+      EtcMatrix etc = small_integer_instance(jobs, 4, 82, unit);
+      Rng rng(83);
+      ScheduleEvaluator eval(etc);
+      for (int round = 0; round < 3; ++round) {
+        if (round == 2) {
+          for (JobId j = 0; j < jobs; ++j) etc.set(j, 1, unit * (jobs - j));
+        }
+        const Schedule schedule = Schedule::random(jobs, 4, rng);
+        eval.reset(schedule);
+        const auto expected = sorted_lists(etc, schedule);
+        for (MachineId m = 0; m < 4; ++m) {
+          ASSERT_EQ(eval.machine_jobs(m), expected[static_cast<std::size_t>(m)])
+              << jobs << " jobs, unit " << unit << ", round " << round;
+        }
+        ASSERT_NO_THROW(eval.check_consistency());
+      }
+    }
+  }
+}
+
 TEST(Evaluator, FuzzWalkPreviewExactlyEqualsApply) {
   InstanceSpec spec;
   spec.num_jobs = 80;
@@ -404,6 +444,27 @@ TEST(Evaluator, SwapScanEqualsPairwisePreviewsOnTwoMachines) {
   expect_edge_cases_covered(swap_scan_walk(etc, 4244, 4096), 4096);
 }
 
+TEST(Evaluator, SwapScanFollowsAMatrixEditedAfterItsFirstScan) {
+  // The scan's column order belongs to the matrix and is built on first
+  // use; set() must invalidate it, or later scans would merge against the
+  // old column and rank partners wrongly.
+  for (const double unit : {1.0, 0.1}) {
+    EtcMatrix etc = small_integer_instance(36, 5, 80, unit);
+    Rng rng(81);
+    const Schedule schedule = Schedule::random(36, 5, rng);
+    ScheduleEvaluator eval(etc);
+    eval.reset(schedule);
+    for (JobId a = 0; a < 36; ++a) expect_scan_matches_pairwise(eval, a);
+    for (JobId j = 0; j < 36; ++j) {
+      for (MachineId m = 0; m < 5; ++m) {
+        etc.set(j, m, unit * static_cast<double>((j * 7 + m * 3) % 5 + 1));
+      }
+    }
+    eval.reset(schedule);
+    for (JobId a = 0; a < 36; ++a) expect_scan_matches_pairwise(eval, a);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // reset_to: the gene-diff replay must be indistinguishable from a fresh
 // rebuild — bitwise, not approximately.
@@ -437,6 +498,56 @@ TEST(Evaluator, ResetToMatchesFreshResetBitwise) {
       ASSERT_EQ(fresh.machine_jobs(m), delta.machine_jobs(m));
     }
     delta.check_consistency();
+  }
+}
+
+TEST(Evaluator, BadTargetThrowsAndLeavesTheStateUntouched) {
+  // A target gene of -1, m or kRejected must be refused before any list
+  // surgery, on the delta path (one bad gene among few changes) and the
+  // rebuild path (a bad gene among many) alike, by reset_to and reset. The
+  // evaluator holds dirty fast scalars from an apply, which must survive
+  // bit for bit.
+  // 200 jobs on 5 machines: a diff of 3 genes stays under the rebuild
+  // threshold (max(n/32, m/2) = 6.25), one of 100 does not.
+  InstanceSpec spec;
+  spec.num_jobs = 200;
+  spec.num_machines = 5;
+  const EtcMatrix etc = generate_instance(spec);
+  Rng rng(57);
+  ScheduleEvaluator eval(etc);
+  eval.reset(Schedule::random(200, 5, rng));
+  eval.apply_move(3, (eval.schedule()[3] + 1) % 5);
+  const Schedule before = eval.schedule();
+  const double makespan = eval.makespan();
+  const double flowtime = eval.flowtime();
+  std::vector<std::vector<std::pair<double, JobId>>> lists;
+  std::vector<double> completions;
+  for (MachineId m = 0; m < 5; ++m) {
+    lists.push_back(eval.machine_jobs(m));
+    completions.push_back(eval.completion(m));
+  }
+
+  for (const MachineId bad : {-1, 5, Schedule::kRejected}) {
+    for (const int changed : {3, 100}) {
+      Schedule target = before;
+      for (int c = 0; c < changed; ++c) {
+        target[c] = (target[c] + 1) % 5;
+      }
+      target[changed / 2] = bad;
+      EXPECT_THROW(eval.reset_to(target), std::invalid_argument)
+          << bad << " " << changed;
+      EXPECT_THROW(eval.reset(target), std::invalid_argument)
+          << bad << " " << changed;
+      ASSERT_EQ(eval.schedule(), before);
+      ASSERT_TRUE(same_bits(eval.makespan(), makespan));
+      ASSERT_TRUE(same_bits(eval.flowtime(), flowtime));
+      for (MachineId m = 0; m < 5; ++m) {
+        ASSERT_EQ(eval.machine_jobs(m), lists[static_cast<std::size_t>(m)]);
+        ASSERT_TRUE(same_bits(eval.completion(m),
+                              completions[static_cast<std::size_t>(m)]));
+      }
+      ASSERT_NO_THROW(eval.check_consistency());
+    }
   }
 }
 

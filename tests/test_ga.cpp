@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <numeric>
 
@@ -33,6 +35,30 @@ TEST(GaCommon, SeedPopulationInjectsHeuristicsThenRandom) {
   for (const auto& individual : population) {
     EXPECT_TRUE(individual.schedule.complete(etc.num_machines()));
     EXPECT_LT(individual.fitness, std::numeric_limits<double>::infinity());
+  }
+}
+
+TEST(GaCommon, SeedPopulationEvaluatesLikeMakeIndividual) {
+  // seed_population evaluates through one re-targeted evaluator; each
+  // individual must be bitwise what a fresh evaluation publishes.
+  const EtcMatrix etc = small_instance();
+  Rng rng(4);
+  const GaSeeding seeding{{HeuristicKind::kMinMin, HeuristicKind::kLjfrSjfr,
+                           HeuristicKind::kMct}};
+  const FitnessWeights weights{};
+  const auto population = seed_population(12, seeding, etc, weights, rng);
+  ASSERT_EQ(population.size(), 12u);
+  auto same_bits = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  for (const Individual& individual : population) {
+    const Individual fresh =
+        make_individual(individual.schedule, etc, weights);
+    EXPECT_TRUE(same_bits(individual.objectives.makespan,
+                          fresh.objectives.makespan));
+    EXPECT_TRUE(same_bits(individual.objectives.flowtime,
+                          fresh.objectives.flowtime));
+    EXPECT_TRUE(same_bits(individual.fitness, fresh.fitness));
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "cma/cma.h"
 #include "etc/instance.h"
 #include "heuristics/constructive.h"
@@ -14,6 +18,27 @@ EtcMatrix small_instance() {
   spec.num_jobs = 64;
   spec.num_machines = 8;
   return generate_instance(spec);
+}
+
+bool same_bits(double x, double y) {
+  return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+}
+
+/// Every individual's published objectives and fitness are bitwise what a
+/// from-scratch evaluation of its schedule gives.
+void expect_evaluated(const std::vector<Individual>& population,
+                      const EtcMatrix& etc, const FitnessWeights& weights) {
+  for (std::size_t i = 0; i < population.size(); ++i) {
+    const Individual& individual = population[i];
+    const Individual fresh = make_individual(individual.schedule, etc, weights);
+    EXPECT_TRUE(same_bits(individual.objectives.makespan,
+                          fresh.objectives.makespan))
+        << "cell " << i;
+    EXPECT_TRUE(same_bits(individual.objectives.flowtime,
+                          fresh.objectives.flowtime))
+        << "cell " << i;
+    EXPECT_TRUE(same_bits(individual.fitness, fresh.fitness)) << "cell " << i;
+  }
 }
 
 CmaConfig fast_config(std::int64_t iterations = 12) {
@@ -118,6 +143,40 @@ TEST(SyncCma, ComparableQualityToAsyncAtEqualEvaluations) {
       make_individual(ljfr_sjfr(etc), etc, FitnessWeights{});
   EXPECT_LT(sync_result.best.fitness, seed.fitness);
   EXPECT_LT(sync_result.best.fitness, 2.0 * async_result.best.fitness);
+}
+
+TEST(SyncCma, StopDuringMeshInitLeavesEveryCellEvaluated) {
+  // Same contract as the asynchronous engine: a budget below the mesh size
+  // stops initialization part-way, and the kept population is still fully
+  // and exactly evaluated.
+  const EtcMatrix etc = small_instance();
+  Rng warm_rng(92);
+  std::vector<Schedule> warm;
+  for (int i = 0; i < 8; ++i) {
+    warm.push_back(Schedule::random(etc.num_jobs(), etc.num_machines(),
+                                    warm_rng));
+  }
+  for (const std::size_t warm_count : {std::size_t{0}, std::size_t{3},
+                                       std::size_t{8}}) {
+    CmaConfig config = fast_config();
+    config.stop = StopCondition{.max_evaluations = 10};
+    config.keep_final_population = true;
+    const std::span<const Schedule> warm_cells(warm.data(), warm_count);
+    const auto result = SynchronousCellularMa(config).run(etc, warm_cells);
+    ASSERT_EQ(result.population.size(), 25u);
+    EXPECT_EQ(result.evaluations, 10);
+    expect_evaluated(result.population, etc, config.weights);
+    expect_evaluated({result.best}, etc, config.weights);
+    Rng rng(config.seed);
+    const auto initial =
+        CellularMemeticAlgorithm(config).initialize_population(etc, rng);
+    for (std::size_t cell = 10 - warm_count; cell < 25; ++cell) {
+      const Schedule& expected = cell >= 1 && cell <= warm_count
+                                     ? warm[cell - 1]
+                                     : initial[cell].schedule;
+      EXPECT_EQ(result.population[cell].schedule, expected) << cell;
+    }
+  }
 }
 
 }  // namespace
