@@ -2,6 +2,13 @@
 // documents for LMCTS — the pair-scan strategy (critical machine / full /
 // sampled), the improvement objective (fitness vs makespan), and the
 // iteration budget.
+//
+// `--evals N` stops every run after N evaluations, so rows compare at
+// equal search work, but the expensive scans (full, critical-all-jobs,
+// sampled) can spend the `--time-ms` cap (default 5000 ms) first. Pass a
+// generous `--time-ms` as a backstop, e.g. `--evals 3000 --time-ms
+// 600000`; a row whose mean evaluations fall short of N is marked
+// "time-capped" in the table and depends on host speed.
 #include "bench_common.h"
 
 namespace gridsched::bench {
@@ -56,6 +63,7 @@ int run(const BenchArgs& args) {
 
   TablePrinter table({"variant", "makespan (mean)", "makespan (best)",
                       "evals/run (mean)"});
+  bool any_time_capped = false;
   for (std::size_t i = 0; i < variants.size(); ++i) {
     const auto& result = results[i];
     double evals = 0.0;
@@ -63,12 +71,21 @@ int run(const BenchArgs& args) {
       evals += static_cast<double>(run.evaluations);
     }
     evals /= static_cast<double>(result.runs.size());
+    const bool time_capped =
+        args.evals > 0 && evals < static_cast<double>(args.evals);
+    any_time_capped = any_time_capped || time_capped;
     table.add_row({variants[i].name, TablePrinter::num(result.makespan.mean),
                    TablePrinter::num(result.makespan.min),
-                   TablePrinter::num(evals, 0)});
+                   TablePrinter::num(evals, 0) +
+                       (time_capped ? " (time-capped)" : "")});
     if (variants[i].separator_after) table.add_separator();
   }
   table.print(std::cout);
+  if (any_time_capped) {
+    std::cout << "\ntime-capped: the " << args.time_ms
+              << " ms cap stopped these rows before --evals " << args.evals
+              << "; raise --time-ms to compare them at equal work\n";
+  }
   std::cout << "\nreading guide: 'full' spends its budget on one very "
                "expensive scan per step; 'critical' (the default) gets most "
                "of the benefit at a fraction of the previews; the makespan "

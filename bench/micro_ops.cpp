@@ -2,6 +2,8 @@
 // incremental evaluator (what local search spends its time in), the
 // evolutionary operators, the constructive heuristics and instance
 // generation. These bound the evaluations-per-second the cMA can sustain.
+// One case times the LP-relaxation makespan bound the benches report gaps
+// against.
 //
 // Run with `--json <path>` to additionally write a BENCH_micro_ops.json
 // verdict report (obs::BenchReport schema) with one `<name>_ns` metric per
@@ -15,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "bounds/lower_bound.h"
 #include "cma/crossover.h"
 #include "cma/local_search.h"
 #include "cma/mutation.h"
@@ -272,6 +275,18 @@ void BM_GenerateInstance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GenerateInstance);
+
+/// The LP-relaxation makespan bound, simplex solve included. Args: jobs,
+/// machines — 64x8 is the shape CI's table2 gap leg bounds, 96x12 the
+/// braun-batch shape of the repo benchmark.
+void BM_LpBound(benchmark::State& state) {
+  const EtcMatrix etc = bench_instance(static_cast<int>(state.range(0)),
+                                       static_cast<int>(state.range(1)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bounds::makespan_bound(etc));
+  }
+}
+BENCHMARK(BM_LpBound)->Args({64, 8})->Args({96, 12});
 
 }  // namespace
 }  // namespace gridsched

@@ -10,14 +10,26 @@
 namespace gridsched::bounds {
 namespace {
 
-/// Builds the fractional-assignment LP. Variables: x[j][m] at j*m_count+k,
-/// then T last. All data is scaled by `inv_scale` so the simplex works on
-/// O(1) numbers whatever the ETC magnitudes (its tolerances are absolute).
-LinearProgram build_lp(const EtcMatrix& etc, double inv_scale) {
+/// The solver's working set on makespan_lp(etc), in cells (see
+/// simplex.cpp): the dense basis inverse over the LP's n + m rows plus the
+/// sparse columns' nonzeros — two per x[j][k], one per T entry, one per
+/// surplus and one per artificial.
+std::int64_t tableau_cells(const EtcMatrix& etc) {
+  const std::int64_t n = etc.num_jobs();
+  const std::int64_t m = etc.num_machines();
+  const std::int64_t rows = n + m;
+  const std::int64_t nonzeros = 2 * n * m + m + m + rows;
+  return rows * rows + nonzeros;
+}
+
+}  // namespace
+
+LinearProgram makespan_lp(const EtcMatrix& etc, double scale) {
   const int n = etc.num_jobs();
   const int m = etc.num_machines();
   const std::size_t num_vars = static_cast<std::size_t>(n) * m + 1;
   const std::size_t t_var = num_vars - 1;
+  const double inv_scale = 1.0 / scale;
 
   LinearProgram lp;
   lp.objective.assign(num_vars, 0.0);
@@ -48,18 +60,6 @@ LinearProgram build_lp(const EtcMatrix& etc, double inv_scale) {
   }
   return lp;
 }
-
-/// Dense tableau footprint of the LP above, in cells (see simplex.cpp:
-/// rows + 2 cost rows by structural + slack + artificial + rhs columns).
-std::int64_t tableau_cells(const EtcMatrix& etc) {
-  const std::int64_t n = etc.num_jobs();
-  const std::int64_t m = etc.num_machines();
-  const std::int64_t rows = n + m + 2;
-  const std::int64_t cols = (n * m + 1) + m + (n + m) + 1;
-  return rows * cols;
-}
-
-}  // namespace
 
 MakespanBoundResult makespan_bound(const EtcMatrix& etc,
                                    const LpOptions& options) {
@@ -94,7 +94,7 @@ MakespanBoundResult makespan_bound(const EtcMatrix& etc,
   SimplexOptions simplex_options;
   simplex_options.max_pivots = options.max_pivots;
   const SimplexResult lp =
-      solve_simplex(build_lp(etc, 1.0 / scale), simplex_options);
+      solve_simplex(makespan_lp(etc, scale), simplex_options);
   result.lp_pivots = lp.pivots;
   if (lp.status != SimplexStatus::kOptimal) {
     // Infeasible/unbounded cannot happen for this LP (x = any schedule,

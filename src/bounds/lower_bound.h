@@ -27,13 +27,19 @@
 //     machines, so max_j min_m(ready+ETC) no longer binds it). The final
 //     bound is max(cheap, LP), never the LP alone.
 //
-// The LP costs O((n+m)·(nm)) memory and a polynomial pivot count, so it
-// sits behind a budget knob (`LpOptions`) and is meant for bench-time gap
-// reporting, not for the scheduling hot path.
+// The solver's working set is O((n+m)² + nm) — a dense basis inverse over
+// the n + m rows plus the LP's sparse columns — down from the
+// O((n+m)·nm) of the dense tableau it replaced. (The LinearProgram
+// handed to it still stores each row densely, (n+m)·(nm+1) doubles, for
+// the duration of the call.) Pivots grow polynomially in practice, so the
+// LP sits behind a budget knob (`LpOptions`) and is meant for bench-time
+// gap reporting, not for the scheduling hot path; docs/bounds.md records
+// pivots and times up to the paper's 512 x 16.
 #pragma once
 
 #include <cstdint>
 
+#include "bounds/simplex.h"
 #include "etc/etc_matrix.h"
 
 namespace gridsched::bounds {
@@ -44,8 +50,10 @@ struct LpOptions {
   /// Simplex pivot budget (both phases). Exceeding it discards the LP
   /// value — see the header comment — and reports kPivotLimit.
   int max_pivots = 20'000;
-  /// Skip instances whose dense tableau would exceed this many cells
-  /// (8M cells = 64 MB). 512 jobs x 16 machines needs ~4.6M.
+  /// Skip instances whose solver working set — (n+m)² basis-inverse
+  /// cells plus the constraint nonzeros — would exceed this many cells
+  /// (8M cells = 64 MB, reached near n + m = 2800). 512 jobs x 16
+  /// machines needs ~0.3M.
   std::int64_t max_tableau_cells = 8'000'000;
 };
 
@@ -61,6 +69,12 @@ struct MakespanBoundResult {
   LpBoundStatus lp_status = LpBoundStatus::kDisabled;
   int lp_pivots = 0;
 };
+
+/// The LP relaxation above as makespan_bound solves it: x[j][k] at index
+/// j·m + k, then T last, with every ETC and ready time divided by `scale`
+/// (makespan_bound uses the largest of them, so the simplex's absolute
+/// tolerances see O(1) numbers). Its optimum times `scale` is the LP bound.
+[[nodiscard]] LinearProgram makespan_lp(const EtcMatrix& etc, double scale);
 
 [[nodiscard]] MakespanBoundResult makespan_bound(const EtcMatrix& etc,
                                                  const LpOptions& options = {});

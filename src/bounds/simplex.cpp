@@ -1,8 +1,9 @@
 #include "bounds/simplex.h"
 
+#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <limits>
+#include <vector>
 
 namespace gridsched::bounds {
 namespace {
@@ -10,44 +11,21 @@ namespace {
 // Tolerances assume the caller feeds a well-scaled problem (coefficients
 // O(1) — lower_bound.cpp normalizes by the largest ETC value before
 // building its LP). Zero-pivot and reduced-cost cutoffs are the usual
-// dense-simplex compromise between stalling and accepting noise pivots.
+// simplex compromise between stalling and accepting noise pivots.
 constexpr double kEps = 1e-9;
 constexpr double kPhase1Tol = 1e-7;
 
-/// Dense tableau: `rows` constraint rows plus two cost rows (phase-2 then
-/// phase-1), `cols` variable columns plus the rhs column.
-class Tableau {
- public:
-  Tableau(std::size_t rows, std::size_t cols)
-      : rows_(rows), cols_(cols), cells_((rows + 2) * (cols + 1), 0.0) {}
+// Consecutive degenerate pivots (step length within kEps of zero) after
+// which pricing drops from Dantzig's rule to Bland's smallest-index rule,
+// until a pivot moves the objective again.
+constexpr int kDegenerateRun = 50;
 
-  double& at(std::size_t r, std::size_t c) { return cells_[r * (cols_ + 1) + c]; }
-  double& rhs(std::size_t r) { return at(r, cols_); }
-  std::size_t cost_row() const { return rows_; }
-  std::size_t phase1_row() const { return rows_ + 1; }
-
-  /// Gauss-Jordan pivot on (pivot_row, pivot_col), cost rows included.
-  void pivot(std::size_t pivot_row, std::size_t pivot_col) {
-    const double p = at(pivot_row, pivot_col);
-    assert(std::fabs(p) > 0.0);
-    double* prow = &cells_[pivot_row * (cols_ + 1)];
-    const double inv = 1.0 / p;
-    for (std::size_t c = 0; c <= cols_; ++c) prow[c] *= inv;
-    prow[pivot_col] = 1.0;  // kill roundoff on the pivot itself
-    for (std::size_t r = 0; r < rows_ + 2; ++r) {
-      if (r == pivot_row) continue;
-      double* row = &cells_[r * (cols_ + 1)];
-      const double factor = row[pivot_col];
-      if (factor == 0.0) continue;
-      for (std::size_t c = 0; c <= cols_; ++c) row[c] -= factor * prow[c];
-      row[pivot_col] = 0.0;
-    }
-  }
-
- private:
-  std::size_t rows_;
-  std::size_t cols_;
-  std::vector<double> cells_;
+/// The constraint matrix by columns (rhs-normalized signs applied):
+/// column c's nonzeros are entries [start[c], start[c + 1]).
+struct SparseColumns {
+  std::vector<std::size_t> start;
+  std::vector<std::size_t> row;
+  std::vector<double> value;
 };
 
 }  // namespace
@@ -58,85 +36,126 @@ SimplexResult solve_simplex(const LinearProgram& lp,
   const std::size_t n = lp.objective.size();
   const std::size_t m = lp.constraints.size();
 
-  // Column layout: [structural n][one slack/surplus per inequality]
-  // [one artificial per >=/= row]. Count them first.
-  std::size_t num_slack = 0;
-  std::size_t num_artificial = 0;
-  for (const auto& con : lp.constraints) {
-    assert(con.coeffs.size() == n);
-    // Normalizing to rhs >= 0 can flip <= into >= and vice versa, so the
-    // effective relation decides the extra columns.
-    const bool flip = con.rhs < 0.0;
-    Relation rel = con.relation;
-    if (flip && rel == Relation::kLessEqual) rel = Relation::kGreaterEqual;
-    else if (flip && rel == Relation::kGreaterEqual) rel = Relation::kLessEqual;
-    if (rel != Relation::kEqual) ++num_slack;
-    if (rel != Relation::kLessEqual) ++num_artificial;
-  }
-
-  const std::size_t num_real = n + num_slack;  // columns allowed in phase 2
-  const std::size_t cols = num_real + num_artificial;
-  Tableau t(m, cols);
-  std::vector<std::size_t> basis(m);
-
-  std::size_t next_slack = n;
-  std::size_t next_artificial = num_real;
+  // Normalize every row to rhs >= 0; that can flip <= into >= and vice
+  // versa, so the effective relation decides the extra columns.
+  std::vector<double> sign(m);
+  std::vector<double> x_basic(m);  // x_B = B⁻¹·b, starting from B = I
+  std::vector<Relation> relation(m);
   for (std::size_t r = 0; r < m; ++r) {
     const auto& con = lp.constraints[r];
-    const double sign = con.rhs < 0.0 ? -1.0 : 1.0;
-    for (std::size_t c = 0; c < n; ++c) t.at(r, c) = sign * con.coeffs[c];
-    t.rhs(r) = sign * con.rhs;
-    Relation rel = con.relation;
-    if (sign < 0.0 && rel == Relation::kLessEqual) rel = Relation::kGreaterEqual;
-    else if (sign < 0.0 && rel == Relation::kGreaterEqual) {
-      rel = Relation::kLessEqual;
-    }
-    if (rel == Relation::kLessEqual) {
-      t.at(r, next_slack) = 1.0;
-      basis[r] = next_slack++;
-    } else {
-      if (rel == Relation::kGreaterEqual) t.at(r, next_slack++) = -1.0;
-      t.at(r, next_artificial) = 1.0;
-      basis[r] = next_artificial++;
+    assert(con.coeffs.size() == n);
+    sign[r] = con.rhs < 0.0 ? -1.0 : 1.0;
+    x_basic[r] = sign[r] * con.rhs;
+    relation[r] = con.relation;
+    if (con.rhs < 0.0 && con.relation != Relation::kEqual) {
+      relation[r] = con.relation == Relation::kLessEqual
+                        ? Relation::kGreaterEqual
+                        : Relation::kLessEqual;
     }
   }
 
-  // Phase-2 cost row starts as c (reduced costs once basic columns are
-  // priced out below); phase-1 cost is the sum of artificials.
-  for (std::size_t c = 0; c < n; ++c) t.at(t.cost_row(), c) = lp.objective[c];
-  for (std::size_t c = num_real; c < cols; ++c) t.at(t.phase1_row(), c) = 1.0;
-
-  // Price out the starting basis from both cost rows. Slack basics have
-  // zero cost in both; artificial basics cost 1 in phase 1.
+  // Column layout: [structural n][one slack/surplus per inequality]
+  // [one artificial per >=/= row], slack and artificial columns being
+  // unit columns in row order. The starting basis is each row's slack
+  // (<=) or artificial (>=, =); both are +1 unit columns, so B = I.
+  SparseColumns a;
+  a.start.push_back(0);
+  for (std::size_t c = 0; c < n; ++c) {
+    for (std::size_t r = 0; r < m; ++r) {
+      const double v = lp.constraints[r].coeffs[c];
+      if (v == 0.0) continue;
+      a.row.push_back(r);
+      a.value.push_back(sign[r] * v);
+    }
+    a.start.push_back(a.row.size());
+  }
+  std::vector<std::size_t> basis(m);
+  auto add_unit_column = [&](std::size_t r, double v) {
+    a.row.push_back(r);
+    a.value.push_back(v);
+    a.start.push_back(a.row.size());
+  };
   for (std::size_t r = 0; r < m; ++r) {
-    if (basis[r] >= num_real) {
-      for (std::size_t c = 0; c <= cols; ++c) {
-        t.at(t.phase1_row(), c) -= t.at(r, c);
-      }
-    }
+    if (relation[r] == Relation::kEqual) continue;
+    const bool slack = relation[r] == Relation::kLessEqual;  // else surplus
+    if (slack) basis[r] = a.start.size() - 1;
+    add_unit_column(r, slack ? 1.0 : -1.0);
   }
+  const std::size_t num_real = a.start.size() - 1;  // may enter in phase 2
+  for (std::size_t r = 0; r < m; ++r) {
+    if (relation[r] == Relation::kLessEqual) continue;
+    basis[r] = a.start.size() - 1;
+    add_unit_column(r, 1.0);
+  }
+  const std::size_t cols = a.start.size() - 1;
+  const bool has_artificials = cols > num_real;
+  std::vector<char> in_basis(cols, 0);
+  for (const std::size_t c : basis) in_basis[c] = 1;
 
-  // Bland's rule iteration over the given cost row; `limit` bars columns
-  // >= limit from entering (used to freeze artificials in phase 2).
-  auto iterate = [&](std::size_t cost_row, std::size_t limit) -> SimplexStatus {
+  // Dense basis inverse, row-major (row r belongs to basis position r).
+  std::vector<double> binv(m * m, 0.0);
+  for (std::size_t r = 0; r < m; ++r) binv[r * m + r] = 1.0;
+
+  // Phase-1 cost is the sum of artificials; phase-2 cost is c.
+  std::vector<double> phase1_cost(cols, 0.0);
+  for (std::size_t c = num_real; c < cols; ++c) phase1_cost[c] = 1.0;
+  std::vector<double> phase2_cost(cols, 0.0);
+  for (std::size_t c = 0; c < n; ++c) phase2_cost[c] = lp.objective[c];
+
+  std::vector<double> duals(m);
+  std::vector<double> alpha(m);
+
+  // Revised simplex over `cost`; `limit` bars columns >= limit from
+  // entering (used to freeze artificials in phase 2).
+  auto iterate = [&](const std::vector<double>& cost,
+                     std::size_t limit) -> SimplexStatus {
+    int degenerate_run = 0;
     for (;;) {
-      // Entering: smallest column index with negative reduced cost.
+      // Duals y = c_B·B⁻¹.
+      std::fill(duals.begin(), duals.end(), 0.0);
+      for (std::size_t r = 0; r < m; ++r) {
+        const double cb = cost[basis[r]];
+        if (cb == 0.0) continue;
+        const double* row = &binv[r * m];
+        for (std::size_t i = 0; i < m; ++i) duals[i] += cb * row[i];
+      }
+
+      // Entering: the most negative reduced cost c_j − y·a_j, smallest
+      // index on ties (Dantzig); during a long degenerate run, the
+      // smallest index with a negative reduced cost (Bland).
+      const bool bland = degenerate_run >= kDegenerateRun;
       std::size_t entering = limit;
+      double best_cost = -kEps;
       for (std::size_t c = 0; c < limit; ++c) {
-        if (t.at(cost_row, c) < -kEps) {
+        if (in_basis[c]) continue;
+        double reduced = cost[c];
+        for (std::size_t k = a.start[c]; k < a.start[c + 1]; ++k) {
+          reduced -= duals[a.row[k]] * a.value[k];
+        }
+        if (reduced < best_cost) {
+          best_cost = reduced;
           entering = c;
-          break;
+          if (bland) break;
         }
       }
       if (entering == limit) return SimplexStatus::kOptimal;
+
+      // The entering column in the current basis: alpha = B⁻¹·a_q.
+      std::fill(alpha.begin(), alpha.end(), 0.0);
+      for (std::size_t k = a.start[entering]; k < a.start[entering + 1];
+           ++k) {
+        const double v = a.value[k];
+        const double* col = &binv[a.row[k]];
+        for (std::size_t r = 0; r < m; ++r) alpha[r] += col[r * m] * v;
+      }
 
       // Leaving: minimum ratio; ties by smallest basis variable index.
       std::size_t leaving = m;
       double best_ratio = std::numeric_limits<double>::infinity();
       for (std::size_t r = 0; r < m; ++r) {
-        const double a = t.at(r, entering);
-        if (a <= kEps) continue;
-        const double ratio = t.rhs(r) / a;
+        const double pivot = alpha[r];
+        if (pivot <= kEps) continue;
+        const double ratio = x_basic[r] / pivot;
         if (ratio < best_ratio - kEps ||
             (ratio < best_ratio + kEps &&
              (leaving == m || basis[r] < basis[leaving]))) {
@@ -149,15 +168,31 @@ SimplexResult solve_simplex(const LinearProgram& lp,
       if (result.pivots >= options.max_pivots) {
         return SimplexStatus::kPivotLimit;
       }
-      t.pivot(leaving, entering);
+      degenerate_run = best_ratio <= kEps ? degenerate_run + 1 : 0;
+
+      // Product-form update: B⁻¹ ← E·B⁻¹ with E the eta matrix of alpha.
+      const double inv = 1.0 / alpha[leaving];
+      double* pivot_row = &binv[leaving * m];
+      for (std::size_t i = 0; i < m; ++i) pivot_row[i] *= inv;
+      const double step = x_basic[leaving] * inv;
+      for (std::size_t r = 0; r < m; ++r) {
+        const double factor = alpha[r];
+        if (r == leaving || factor == 0.0) continue;
+        double* row = &binv[r * m];
+        for (std::size_t i = 0; i < m; ++i) row[i] -= factor * pivot_row[i];
+        x_basic[r] -= factor * step;
+      }
+      x_basic[leaving] = step;
+      in_basis[basis[leaving]] = 0;
+      in_basis[entering] = 1;
       basis[leaving] = entering;
       ++result.pivots;
     }
   };
 
   // Phase 1: drive the artificials to zero.
-  if (num_artificial > 0) {
-    const SimplexStatus phase1 = iterate(t.phase1_row(), cols);
+  if (has_artificials) {
+    const SimplexStatus phase1 = iterate(phase1_cost, cols);
     if (phase1 != SimplexStatus::kOptimal) {
       // Unbounded cannot happen with the bounded-below phase-1 objective.
       result.status = phase1 == SimplexStatus::kUnbounded
@@ -165,7 +200,11 @@ SimplexResult solve_simplex(const LinearProgram& lp,
                           : phase1;
       return result;
     }
-    if (-t.rhs(t.phase1_row()) > kPhase1Tol) {
+    double infeasibility = 0.0;
+    for (std::size_t r = 0; r < m; ++r) {
+      if (basis[r] >= num_real) infeasibility += x_basic[r];
+    }
+    if (infeasibility > kPhase1Tol) {
       result.status = SimplexStatus::kInfeasible;
       return result;
     }
@@ -173,13 +212,15 @@ SimplexResult solve_simplex(const LinearProgram& lp,
 
   // Phase 2 on the real objective. Artificial columns stay barred; any
   // artificial still basic sits at value ~0 and is harmless.
-  result.status = iterate(t.cost_row(), num_real);
+  result.status = iterate(phase2_cost, num_real);
   if (result.status != SimplexStatus::kOptimal) return result;
 
-  result.objective = -t.rhs(t.cost_row());
   result.x.assign(n, 0.0);
   for (std::size_t r = 0; r < m; ++r) {
-    if (basis[r] < n) result.x[basis[r]] = t.rhs(r);
+    if (basis[r] < n) result.x[basis[r]] = x_basic[r];
+  }
+  for (std::size_t c = 0; c < n; ++c) {
+    result.objective += lp.objective[c] * result.x[c];
   }
   return result;
 }

@@ -1,15 +1,24 @@
-// A small dense two-phase simplex solver (minimization, x >= 0).
+// A small two-phase revised simplex solver (minimization, x >= 0).
 //
 // Exists so the library can compute LP-relaxation lower bounds
 // (bounds/lower_bound.h) without an external solver dependency — the
-// container this builds in is offline. It is a textbook tableau
-// implementation tuned for determinism, not for sparse million-row LPs:
+// container this builds in is offline. It is tuned for determinism and
+// for the assignment LPs of bounds/lower_bound.h (few rows, many
+// two-nonzero columns), not for sparse million-row LPs:
 //
-//   * Bland's rule for both the entering and the leaving variable
-//     (smallest index wins every tie). This guarantees termination
-//     without perturbation tricks AND makes the pivot sequence — and
-//     therefore the returned optimum — a pure function of the input,
-//     bitwise-stable across runs (tests/test_bounds.cpp pins this).
+//   * Each constraint's nonzeros are read once into sparse columns, and
+//     the solver keeps an explicit dense basis inverse updated in product
+//     form. A pivot costs O(rows² + nonzeros), and memory is
+//     O(rows² + nonzeros), where the dense tableau it replaced paid
+//     O(rows × columns) for both.
+//   * Dantzig pricing: the most negative reduced cost enters, smallest
+//     index on ties. After a run of degenerate pivots the entering rule
+//     falls back to Bland's (smallest index with a negative reduced
+//     cost) until a pivot moves the objective again, which rules out
+//     cycling. The leaving row is the minimum ratio, smallest basis index
+//     on ties. No step depends on anything but the input, so the pivot
+//     sequence — and the returned optimum — is bitwise-stable across
+//     runs (tests/test_bounds.cpp pins this).
 //   * A pivot budget instead of open-ended iteration: a caller that uses
 //     the optimum as a *bound* must know whether the solve finished
 //     (a truncated minimization is NOT a valid lower bound), so running
@@ -27,7 +36,7 @@ namespace gridsched::bounds {
 enum class SimplexStatus { kOptimal, kInfeasible, kUnbounded, kPivotLimit };
 
 struct SimplexOptions {
-  /// Total pivot budget across both phases. Bland's rule terminates
+  /// Total pivot budget across both phases. The solver terminates
   /// finitely anyway; the cap bounds the worst case wall-clock.
   int max_pivots = 20'000;
 };

@@ -59,7 +59,7 @@ void CellularMemeticAlgorithm::apply_warm_start(
   for (const Schedule& schedule : warm) {
     if (cell >= population.size()) break;
     if (schedule.num_jobs() != evaluator.num_jobs() ||
-        !schedule.complete(evaluator.num_machines())) {
+        !schedule.assigned(evaluator.num_machines())) {
       throw std::invalid_argument(
           "CellularMemeticAlgorithm: warm-start schedule does not fit the "
           "instance");

@@ -34,8 +34,9 @@ class CellularMemeticAlgorithm {
   /// Warm-started run: the mesh is built as by `initialize_population`,
   /// then cells starting at index 1 are overwritten with the given
   /// schedules (cell 0 keeps the LJFR-SJFR seed so the constructive anchor
-  /// survives a bad cache). Surplus schedules are ignored; schedules must
-  /// be complete for the instance. Deterministic in (config.seed, warm).
+  /// survives a bad cache). Surplus schedules are ignored; every gene must
+  /// name a machine of the instance (a Schedule::kRejected gene does not
+  /// fit). Deterministic in (config.seed, warm).
   [[nodiscard]] EvolutionResult run(const EtcMatrix& etc,
                                     std::span<const Schedule> warm) const;
 
@@ -48,7 +49,8 @@ class CellularMemeticAlgorithm {
 
   /// Overwrites mesh cells [1, 1 + warm.size()) with the warm schedules,
   /// each evaluated through `evaluator` (bound to the instance). Throws if
-  /// a schedule does not fit the instance. When a tracker is given, each
+  /// a schedule does not fit the instance (wrong size, or a gene outside
+  /// [0, m) — Schedule::kRejected included). When a tracker is given, each
   /// inserted elite is offered (and counted) immediately, so a
   /// cancellation during mesh initialization can never discard a
   /// warm-start best.

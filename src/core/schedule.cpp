@@ -12,6 +12,13 @@ bool Schedule::complete(int num_machines) const noexcept {
   return !assign_.empty();
 }
 
+bool Schedule::assigned(int num_machines) const noexcept {
+  for (MachineId m : assign_) {
+    if (m < 0 || m >= num_machines) return false;
+  }
+  return !assign_.empty();
+}
+
 int Schedule::hamming_distance(const Schedule& other) const noexcept {
   int distance = 0;
   const std::size_t n = assign_.size();

@@ -47,6 +47,11 @@ class Schedule {
   /// schedule incomplete.
   [[nodiscard]] bool complete(int num_machines) const noexcept;
 
+  /// True when every job is assigned to a machine in [0, num_machines):
+  /// complete() without the kRejected genes, i.e. a schedule an
+  /// evaluator can score.
+  [[nodiscard]] bool assigned(int num_machines) const noexcept;
+
   /// Number of genes in which two schedules differ (used by the Struggle
   /// GA's similarity-based replacement). Schedules must be the same size.
   [[nodiscard]] int hamming_distance(const Schedule& other) const noexcept;

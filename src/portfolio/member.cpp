@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -102,6 +103,10 @@ MemberResult LahcMember::solve(const EtcMatrix& etc, const StopCondition& stop,
   Schedule start;
   double start_fitness = std::numeric_limits<double>::infinity();
   for (const Schedule& candidate : warm) {
+    if (candidate.num_jobs() != n || !candidate.assigned(m)) {
+      throw std::invalid_argument(
+          "LahcMember: warm-start schedule does not fit the instance");
+    }
     evaluator.reset_to(candidate);
     tracker.count_evaluations();
     const double fitness = evaluator.fitness(config_.weights);

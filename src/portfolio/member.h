@@ -105,7 +105,8 @@ struct LahcConfig {
 /// from `history_length` steps ago, which lets the walk traverse plateaus
 /// and shallow worsenings without a cooling schedule. Seeds from the best
 /// warm-start elite when the cache offers one, else from MCT, and tracks
-/// the best-so-far separately — so it is never worse than its seed.
+/// the best-so-far separately — so it is never worse than its seed. Throws
+/// std::invalid_argument if a warm schedule does not fit the instance.
 class LahcMember final : public PortfolioMember {
  public:
   explicit LahcMember(LahcConfig config = {});

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,53 @@ TEST(Bounds, JobBoundDominatesWhenOneJobIsHuge) {
   EXPECT_DOUBLE_EQ(makespan_lower_bound(etc), 1'000.0);
 }
 
+/// Checks the returned optimum against the LP itself: x is feasible for
+/// every constraint (and x >= 0) within 1e-9, and c·x equals `objective`.
+void expect_certificate(const bounds::LinearProgram& lp,
+                        const bounds::SimplexResult& result) {
+  ASSERT_EQ(result.status, bounds::SimplexStatus::kOptimal);
+  ASSERT_EQ(result.x.size(), lp.objective.size());
+  constexpr double kTol = 1e-9;
+  for (const double v : result.x) EXPECT_GE(v, -kTol);
+  for (std::size_t r = 0; r < lp.constraints.size(); ++r) {
+    const auto& con = lp.constraints[r];
+    double lhs = 0.0;
+    for (std::size_t c = 0; c < result.x.size(); ++c) {
+      lhs += con.coeffs[c] * result.x[c];
+    }
+    if (con.relation != bounds::Relation::kGreaterEqual) {
+      EXPECT_LE(lhs, con.rhs + kTol) << "row " << r;
+    }
+    if (con.relation != bounds::Relation::kLessEqual) {
+      EXPECT_GE(lhs, con.rhs - kTol) << "row " << r;
+    }
+  }
+  double cx = 0.0;
+  for (std::size_t c = 0; c < result.x.size(); ++c) {
+    cx += lp.objective[c] * result.x[c];
+  }
+  EXPECT_DOUBLE_EQ(cx, result.objective);
+}
+
+/// Re-solves the LP behind an optimal makespan_bound, checks its
+/// certificate, and checks that it is the LP the bound came from.
+void expect_lp_certificate(const EtcMatrix& etc,
+                           const bounds::MakespanBoundResult& bound) {
+  ASSERT_EQ(bound.lp_status, bounds::LpBoundStatus::kOptimal);
+  double scale = 0.0;  // the largest coefficient, as makespan_bound scales
+  for (int j = 0; j < etc.num_jobs(); ++j) {
+    for (const double v : etc.row(j)) scale = std::max(scale, v);
+  }
+  for (int k = 0; k < etc.num_machines(); ++k) {
+    scale = std::max(scale, etc.ready_time(k));
+  }
+  const bounds::LinearProgram lp = bounds::makespan_lp(etc, scale);
+  const bounds::SimplexResult result = bounds::solve_simplex(lp);
+  expect_certificate(lp, result);
+  EXPECT_EQ(result.pivots, bound.lp_pivots);
+  EXPECT_EQ(result.objective * scale, bound.lp);  // bitwise
+}
+
 std::string param_name(const ::testing::TestParamInfo<InstanceSpec>& info) {
   std::string name = info.param.name();
   std::replace(name.begin(), name.end(), '.', '_');
@@ -70,6 +118,7 @@ TEST_P(BoundsSuiteTest, EverySchedulerRespectsTheBounds) {
   // the combined bound — the strictest floor the library can state.
   const auto bound = bounds::makespan_bound(etc);
   ASSERT_EQ(bound.lp_status, bounds::LpBoundStatus::kOptimal);
+  expect_lp_certificate(etc, bound);
   const double makespan_floor = bound.value;
   const double flowtime_floor = flowtime_lower_bound(etc);
   ASSERT_GT(makespan_floor, 0.0);
@@ -94,7 +143,7 @@ TEST_P(BoundsSuiteTest, EverySchedulerRespectsTheBounds) {
 }
 
 // ---------------------------------------------------------------------------
-// The dense two-phase simplex behind the LP-relaxation bound.
+// The two-phase revised simplex behind the LP-relaxation bound.
 
 TEST(Simplex, SolvesAKnownTinyLp) {
   // min -x - 2y  s.t.  x + y <= 3, x <= 2, y <= 2  ->  x=1, y=2, obj -5.
@@ -109,6 +158,7 @@ TEST(Simplex, SolvesAKnownTinyLp) {
   ASSERT_EQ(result.x.size(), 2u);
   EXPECT_NEAR(result.x[0], 1.0, 1e-9);
   EXPECT_NEAR(result.x[1], 2.0, 1e-9);
+  expect_certificate(lp, result);
 }
 
 TEST(Simplex, HandlesEqualityAndGreaterEqualRows) {
@@ -120,6 +170,27 @@ TEST(Simplex, HandlesEqualityAndGreaterEqualRows) {
   const auto result = bounds::solve_simplex(lp);
   ASSERT_EQ(result.status, bounds::SimplexStatus::kOptimal);
   EXPECT_NEAR(result.objective, 2.0, 1e-9);
+  expect_certificate(lp, result);
+}
+
+TEST(Simplex, TerminatesOnBealesCyclingExample) {
+  // Beale (1955): the most-negative-reduced-cost rule with this min-ratio
+  // tie-break cycles through six degenerate bases forever. The optimum is
+  // -1/20 at x4 = 1/25, x6 = 1 (variables x4..x7 here, x1..x3 slacks).
+  bounds::LinearProgram lp;
+  lp.objective = {-0.75, 150.0, -0.02, 6.0};
+  lp.constraints.push_back(
+      {{0.25, -60.0, -0.04, 9.0}, bounds::Relation::kLessEqual, 0.0});
+  lp.constraints.push_back(
+      {{0.5, -90.0, -0.02, 3.0}, bounds::Relation::kLessEqual, 0.0});
+  lp.constraints.push_back(
+      {{0.0, 0.0, 1.0, 0.0}, bounds::Relation::kLessEqual, 1.0});
+  const auto result = bounds::solve_simplex(lp);
+  ASSERT_EQ(result.status, bounds::SimplexStatus::kOptimal);
+  EXPECT_NEAR(result.objective, -0.05, 1e-12);
+  EXPECT_NEAR(result.x[0], 0.04, 1e-12);
+  EXPECT_NEAR(result.x[2], 1.0, 1e-12);
+  expect_certificate(lp, result);
 }
 
 TEST(Simplex, DetectsInfeasible) {
@@ -191,6 +262,7 @@ TEST(LpBound, NeverExceedsTheExhaustiveOptimum) {
     const double optimal = exhaustive_optimal_makespan(etc);
     const auto bound = bounds::makespan_bound(etc);
     ASSERT_EQ(bound.lp_status, bounds::LpBoundStatus::kOptimal) << spec.name();
+    expect_lp_certificate(etc, bound);
     EXPECT_LE(bound.lp, optimal * (1 + 1e-9)) << spec.name();
     EXPECT_LE(bound.value, optimal * (1 + 1e-9)) << spec.name();
     EXPECT_GT(bound.value, 0.0) << spec.name();
@@ -203,6 +275,7 @@ TEST(LpBound, MatchesTheLoadBoundOnUniformInstances) {
   EtcMatrix etc(8, 4, std::vector<double>(32, 5.0));
   const auto bound = bounds::makespan_bound(etc);
   ASSERT_EQ(bound.lp_status, bounds::LpBoundStatus::kOptimal);
+  expect_lp_certificate(etc, bound);
   EXPECT_NEAR(bound.lp, 10.0, 1e-9);
   EXPECT_NEAR(bound.value, 10.0, 1e-9);
 }
@@ -218,6 +291,7 @@ TEST(LpBound, DominatesTheLoadAndReadyBounds) {
     const EtcMatrix etc = generate_instance(spec);
     const auto bound = bounds::makespan_bound(etc);
     ASSERT_EQ(bound.lp_status, bounds::LpBoundStatus::kOptimal) << spec.name();
+    expect_lp_certificate(etc, bound);
     EXPECT_GE(bound.lp, load_lower_bound(etc) * (1 - 1e-9)) << spec.name();
     EXPECT_GE(bound.lp, ready_time_bound(etc) * (1 - 1e-9)) << spec.name();
     EXPECT_GE(bound.value, makespan_lower_bound(etc)) << spec.name();
@@ -231,6 +305,7 @@ TEST(LpBound, CanSitBelowTheJobBoundAndTheMaxStillWins) {
   EtcMatrix etc(1, 2, {1.0, 1.0});
   const auto bound = bounds::makespan_bound(etc);
   ASSERT_EQ(bound.lp_status, bounds::LpBoundStatus::kOptimal);
+  expect_lp_certificate(etc, bound);
   EXPECT_NEAR(bound.lp, 0.5, 1e-9);
   EXPECT_DOUBLE_EQ(bound.value, 1.0);
 }
@@ -241,6 +316,7 @@ TEST(LpBound, TightensTheCheapBoundOnHeterogeneousMachines) {
   EtcMatrix etc(3, 2, {10, 1000, 10, 1000, 10, 1000});
   const auto bound = bounds::makespan_bound(etc);
   ASSERT_EQ(bound.lp_status, bounds::LpBoundStatus::kOptimal);
+  expect_lp_certificate(etc, bound);
   EXPECT_GT(bound.lp, makespan_lower_bound(etc) * 1.5);
   // Exhaustive optimum at this size confirms validity.
   EXPECT_LE(bound.value,
@@ -248,8 +324,9 @@ TEST(LpBound, TightensTheCheapBoundOnHeterogeneousMachines) {
 }
 
 TEST(LpBound, PivotOrderIsDeterministic) {
-  // Bland's rule makes the pivot sequence a pure function of the input:
-  // two solves must agree bitwise, pivots included.
+  // Every pricing and ratio-test choice, the fallback switch included, is
+  // a function of the input alone, so two solves must agree bitwise,
+  // pivots included.
   InstanceSpec spec;
   spec.num_jobs = 48;
   spec.num_machines = 6;
@@ -257,9 +334,50 @@ TEST(LpBound, PivotOrderIsDeterministic) {
   const auto a = bounds::makespan_bound(etc);
   const auto b = bounds::makespan_bound(etc);
   ASSERT_EQ(a.lp_status, bounds::LpBoundStatus::kOptimal);
+  expect_lp_certificate(etc, a);
   EXPECT_EQ(a.lp, b.lp);        // bitwise, not NEAR
   EXPECT_EQ(a.value, b.value);  // bitwise
   EXPECT_EQ(a.lp_pivots, b.lp_pivots);
+}
+
+TEST(LpBound, PinsTheBraunClassesAt96x12) {
+  // LP values of the canonical replica of every class at the perfbench
+  // braun-batch shape, as the dense Bland-rule tableau solved them. The
+  // LP optimum is unique, so any exact solver must land here up to
+  // round-off.
+  const std::map<std::string, double> pinned = {
+      {"u_c_hihi.0", 2251816.7839128766}, {"u_c_hilo.0", 36217.207129236835},
+      {"u_c_lohi.0", 67591.711385684495}, {"u_c_lolo.0", 1261.2896061605459},
+      {"u_i_hihi.0", 1120079.934829291},  {"u_i_hilo.0", 20079.432536794415},
+      {"u_i_lohi.0", 30003.954641569482}, {"u_i_lolo.0", 594.12679172756657},
+      {"u_s_hihi.0", 1318258.8416696598}, {"u_s_hilo.0", 23772.513457078709},
+      {"u_s_lohi.0", 46293.485367869762}, {"u_s_lolo.0", 900.23338304805839},
+  };
+  for (InstanceSpec spec : braun_benchmark_suite()) {
+    spec.num_jobs = 96;
+    spec.num_machines = 12;
+    const EtcMatrix etc = generate_instance(spec);
+    const auto bound = bounds::makespan_bound(etc);
+    ASSERT_EQ(bound.lp_status, bounds::LpBoundStatus::kOptimal) << spec.name();
+    expect_lp_certificate(etc, bound);
+    const double expected = pinned.at(spec.name());
+    EXPECT_NEAR(bound.lp, expected, 1e-12 * expected) << spec.name();
+  }
+}
+
+TEST(LpBound, SolvesThePaperShape512x16) {
+  // The paper's u_c_hihi.0 shape: must finish inside the default budget
+  // (the dense tableau ran out of its 20,000 pivots here) and land
+  // between the cheap floor and a real schedule's makespan.
+  const InstanceSpec spec;  // u_c_hihi, 512 jobs x 16 machines
+  const EtcMatrix etc = generate_instance(spec);
+  const auto bound = bounds::makespan_bound(etc);
+  ASSERT_EQ(bound.lp_status, bounds::LpBoundStatus::kOptimal);
+  expect_lp_certificate(etc, bound);
+  EXPECT_GE(bound.value, bound.cheap);
+  ScheduleEvaluator eval(etc);
+  eval.reset(min_min(etc));
+  EXPECT_LE(bound.value, eval.makespan());
 }
 
 TEST(LpBound, BudgetKnobsFallBackToTheCheapBound) {

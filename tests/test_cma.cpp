@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -339,6 +340,29 @@ TEST(Cma, StopDuringMeshInitLeavesEveryCellEvaluated) {
                                      ? warm[cell - 1]
                                      : initial[cell].schedule;
       EXPECT_EQ(result.population[cell].schedule, expected) << cell;
+    }
+  }
+}
+
+TEST(Cma, WarmStartRejectsAGeneOutsideTheFleet) {
+  // Schedule::complete() admits Schedule::kRejected, but no evaluator can
+  // score it: the warm start must refuse such a gene up front, with its
+  // own error, as it does every other gene outside [0, m).
+  const EtcMatrix etc = small_instance();
+  Rng rng(93);
+  for (const MachineId bad : {Schedule::kRejected, MachineId{-1},
+                              MachineId{etc.num_machines()}}) {
+    Schedule warm = Schedule::random(etc.num_jobs(), etc.num_machines(), rng);
+    warm[3] = bad;
+    const std::vector<Schedule> warm_cells{warm};
+    try {
+      (void)CellularMemeticAlgorithm(fast_config()).run(etc, warm_cells);
+      ADD_FAILURE() << "gene " << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "warm-start schedule does not fit the instance"),
+                std::string::npos)
+          << e.what();
     }
   }
 }

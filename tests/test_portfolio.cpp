@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "etc/instance.h"
 #include "sim/grid_simulator.h"
@@ -364,6 +367,30 @@ TEST(LahcMember, SeedsFromTheBestWarmElite) {
   stop.max_evaluations = 500;
   const MemberResult result = member.solve(etc, stop, warm, 23);
   EXPECT_LE(result.best.fitness, warm_fitness);
+}
+
+TEST(LahcMember, WarmStartRejectsAGeneOutsideTheFleet) {
+  // Schedule::complete() admits Schedule::kRejected, but no evaluator can
+  // score it: the warm start must refuse such a gene up front, with its
+  // own error, as it does every other gene outside [0, m).
+  const EtcMatrix etc = small_instance(48, 6);
+  Rng rng(95);
+  for (const MachineId bad : {Schedule::kRejected, MachineId{-1},
+                              MachineId{etc.num_machines()}}) {
+    Schedule warm = Schedule::random(etc.num_jobs(), etc.num_machines(), rng);
+    warm[3] = bad;
+    const std::vector<Schedule> warm_cells{warm};
+    try {
+      (void)LahcMember().solve(etc, StopCondition{.max_evaluations = 100},
+                              warm_cells, 95);
+      ADD_FAILURE() << "gene " << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "warm-start schedule does not fit the instance"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(LahcMember, ImprovesOnItsSeedGivenBudget) {

@@ -23,6 +23,18 @@ TEST(Schedule, CompleteRequiresAllGenesInRange) {
 TEST(Schedule, EmptyScheduleIsNotComplete) {
   Schedule s;
   EXPECT_FALSE(s.complete(4));
+  EXPECT_FALSE(s.assigned(4));
+}
+
+TEST(Schedule, AssignedExcludesRejectedGenes) {
+  // complete() admits admission control's kRejected; assigned() — what an
+  // evaluator can score — does not.
+  Schedule s(3, 1);
+  EXPECT_TRUE(s.assigned(2));
+  EXPECT_FALSE(s.assigned(1));
+  s[2] = Schedule::kRejected;
+  EXPECT_TRUE(s.complete(2));
+  EXPECT_FALSE(s.assigned(2));
 }
 
 TEST(Schedule, HammingDistance) {
