@@ -38,9 +38,9 @@ LinearProgram makespan_lp(const EtcMatrix& etc, double scale) {
 
   for (int j = 0; j < n; ++j) {
     LinearConstraint con;
-    con.coeffs.assign(num_vars, 0.0);
+    con.terms.reserve(static_cast<std::size_t>(m));
     for (int k = 0; k < m; ++k) {
-      con.coeffs[static_cast<std::size_t>(j) * m + k] = 1.0;
+      con.terms.push_back({static_cast<std::size_t>(j) * m + k, 1.0});
     }
     con.relation = Relation::kEqual;
     con.rhs = 1.0;
@@ -49,11 +49,12 @@ LinearProgram makespan_lp(const EtcMatrix& etc, double scale) {
   for (int k = 0; k < m; ++k) {
     // T - sum_j ETC[j][k]·x[j][k] >= ready[k]
     LinearConstraint con;
-    con.coeffs.assign(num_vars, 0.0);
+    con.terms.reserve(static_cast<std::size_t>(n) + 1);
     for (int j = 0; j < n; ++j) {
-      con.coeffs[static_cast<std::size_t>(j) * m + k] = -etc(j, k) * inv_scale;
+      con.terms.push_back(
+          {static_cast<std::size_t>(j) * m + k, -etc(j, k) * inv_scale});
     }
-    con.coeffs[t_var] = 1.0;
+    con.terms.push_back({t_var, 1.0});
     con.relation = Relation::kGreaterEqual;
     con.rhs = etc.ready_time(k) * inv_scale;
     lp.constraints.push_back(std::move(con));

@@ -29,12 +29,11 @@
 //
 // The solver's working set is O((n+m)² + nm) — a dense basis inverse over
 // the n + m rows plus the LP's sparse columns — down from the
-// O((n+m)·nm) of the dense tableau it replaced. (The LinearProgram
-// handed to it still stores each row densely, (n+m)·(nm+1) doubles, for
-// the duration of the call.) Pivots grow polynomially in practice, so the
-// LP sits behind a budget knob (`LpOptions`) and is meant for bench-time
-// gap reporting, not for the scheduling hot path; docs/bounds.md records
-// pivots and times up to the paper's 512 x 16.
+// O((n+m)·nm) of the dense tableau it replaced; the LinearProgram handed
+// to it stores only its 2nm + m nonzeros. Pivots grow polynomially in
+// practice, so the LP sits behind a budget knob (`LpOptions`) and is
+// meant for bench-time gap reporting, not for the scheduling hot path;
+// docs/bounds.md records pivots and times up to the paper's 512 x 16.
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,8 @@
 #include "bounds/simplex.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
+#include <stdexcept>
 #include <vector>
 
 namespace gridsched::bounds {
@@ -43,7 +43,6 @@ SimplexResult solve_simplex(const LinearProgram& lp,
   std::vector<Relation> relation(m);
   for (std::size_t r = 0; r < m; ++r) {
     const auto& con = lp.constraints[r];
-    assert(con.coeffs.size() == n);
     sign[r] = con.rhs < 0.0 ? -1.0 : 1.0;
     x_basic[r] = sign[r] * con.rhs;
     relation[r] = con.relation;
@@ -59,15 +58,27 @@ SimplexResult solve_simplex(const LinearProgram& lp,
   // unit columns in row order. The starting basis is each row's slack
   // (<=) or artificial (>=, =); both are +1 unit columns, so B = I.
   SparseColumns a;
-  a.start.push_back(0);
-  for (std::size_t c = 0; c < n; ++c) {
-    for (std::size_t r = 0; r < m; ++r) {
-      const double v = lp.constraints[r].coeffs[c];
-      if (v == 0.0) continue;
-      a.row.push_back(r);
-      a.value.push_back(sign[r] * v);
+  a.start.assign(n + 1, 0);
+  for (const auto& con : lp.constraints) {
+    for (const LpTerm& term : con.terms) {
+      if (term.index >= n) {
+        throw std::invalid_argument("solve_simplex: term index out of range");
+      }
+      if (term.coeff != 0.0) ++a.start[term.index + 1];
     }
-    a.start.push_back(a.row.size());
+  }
+  for (std::size_t c = 0; c < n; ++c) a.start[c + 1] += a.start[c];
+  a.row.resize(a.start[n]);
+  a.value.resize(a.start[n]);
+  std::vector<std::size_t> next(a.start.begin(), a.start.end() - 1);
+  for (std::size_t r = 0; r < m; ++r) {  // rows ascending in every column
+    for (const LpTerm& term : lp.constraints[r].terms) {
+      if (term.coeff == 0.0) continue;
+      std::size_t& k = next[term.index];
+      a.row[k] = r;
+      a.value[k] = sign[r] * term.coeff;
+      ++k;
+    }
   }
   std::vector<std::size_t> basis(m);
   auto add_unit_column = [&](std::size_t r, double v) {

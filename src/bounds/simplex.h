@@ -6,7 +6,8 @@
 // for the assignment LPs of bounds/lower_bound.h (few rows, many
 // two-nonzero columns), not for sparse million-row LPs:
 //
-//   * Each constraint's nonzeros are read once into sparse columns, and
+//   * Constraints are stored as their nonzeros, which are read once into
+//     sparse columns (rows ascending within each column), and
 //     the solver keeps an explicit dense basis inverse updated in product
 //     form. A pivot costs O(rows² + nonzeros), and memory is
 //     O(rows² + nonzeros), where the dense tableau it replaced paid
@@ -28,6 +29,7 @@
 // basis; artificial columns are barred from re-entering in phase 2.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -52,8 +54,16 @@ struct SimplexResult {
 
 enum class Relation { kLessEqual, kGreaterEqual, kEqual };
 
+/// One nonzero of a constraint row: `coeff` times structural variable
+/// `index`.
+struct LpTerm {
+  std::size_t index = 0;
+  double coeff = 0.0;
+};
+
 struct LinearConstraint {
-  std::vector<double> coeffs;  // one per structural variable
+  /// The row's nonzeros, in any order; terms on one index add up.
+  std::vector<LpTerm> terms;
   Relation relation = Relation::kLessEqual;
   double rhs = 0.0;
 };
@@ -64,6 +74,7 @@ struct LinearProgram {
   std::vector<LinearConstraint> constraints;
 };
 
+/// Throws std::invalid_argument on a term index outside the objective.
 [[nodiscard]] SimplexResult solve_simplex(const LinearProgram& lp,
                                           const SimplexOptions& options = {});
 

@@ -3,16 +3,14 @@
 // The service is a BatchScheduler, so the simulator already pushes machine
 // failures, re-queues and per-job records through it unchanged. What the
 // simulator cannot produce on its own is the per-shard and per-class view:
-// this driver runs one simulation and then folds the simulator's per-job
-// records and per-machine busy times back onto the service's machine
-// partition (one SimMetrics per shard next to the global one) and onto the
-// workload's job classes (one SimMetrics per class — the view class-aware
-// routing is judged by). Jobs are attributed to the shard of the machine
-// that finally completed them, under the machine partition as it stands at
-// the END of the run (identical to the service's own routing map except
-// for jobs still unfinished at the end of a no-drain run, which belong to
-// no shard; with dynamic split/merge enabled, jobs completed before a
-// resize are attributed to their machine's final shard).
+// run_sharded runs one simulation and folds each job, as the simulator
+// finalizes it, together with the per-machine busy times, back onto the
+// service's machine partition (one SimMetrics per shard next to the global
+// one) and onto the workload's job classes (one SimMetrics per class — the
+// view class-aware routing is judged by). A job is attributed to the shard
+// of the machine that completed it, under the machine partition as it
+// stands when the job's outcome becomes final; with dynamic split/merge
+// that can differ from the end-of-run partition.
 #pragma once
 
 #include <string>
@@ -79,12 +77,11 @@ struct ShardedSimReport {
 /// cumulative, so pass a freshly constructed service for an exact per-run
 /// report.
 ///
-/// Works in both arrival modes: with `SimConfig::stream` set the driver
-/// installs its own job observer (clobbering any caller-installed one)
-/// and folds each job as it finalizes, so the report is identical to a
-/// materialized run of the same jobs bit for bit — except shard
-/// attribution under dynamic split/merge, which uses the partition at
-/// finalize time rather than end of run.
+/// run_sharded installs its own job observer for the run (clobbering any
+/// caller-installed one, and clearing it afterwards). The report depends
+/// only on the jobs: a `stream` run over MaterializedStream of a
+/// workload's jobs reports exactly what the `workload` run does, per shard
+/// and per class included.
 [[nodiscard]] ShardedSimReport run_sharded(GridSimulator& sim,
                                            GridSchedulingService& service);
 

@@ -30,6 +30,48 @@ struct MachineState {
   std::vector<int> queued_jobs;  // jobs committed but not finished
 };
 
+/// One job of the in-flight window: the normalized input and its outcome
+/// so far.
+struct LiveJob {
+  TraceJob job;
+  SimJobRecord record;
+};
+
+/// The stream contract: arrivals finite, >= 0 and sorted, sizes finite
+/// and > 0. Negated comparisons reject NaN alongside range violations.
+bool breaks_contract(const TraceJob& job, double previous_arrival) {
+  return !(job.arrival >= 0) || !std::isfinite(job.arrival) ||
+         !(job.workload_mi > 0) || !std::isfinite(job.workload_mi) ||
+         job.arrival < previous_arrival;
+}
+
+/// The arrival stream of one run. A `stream` config is pulled as is. A
+/// `workload` config (the historical Poisson process when unset) is
+/// generated and checked whole first, so an invalid job throws before the
+/// first activation: a pull never releases a NaN arrival (`NaN <= until`
+/// is false), which would vanish at the horizon.
+std::shared_ptr<StreamingWorkloadSource> open_arrivals(const SimConfig& config,
+                                                       Rng& arrival_rng,
+                                                       Rng& workload_rng) {
+  if (config.stream) return config.stream;
+  PoissonWorkload poisson(
+      config.arrival_rate,
+      LogNormalSize{config.workload_log_mean, config.workload_log_sigma});
+  WorkloadSource& source = config.workload ? *config.workload : poisson;
+  std::vector<TraceJob> jobs =
+      source.generate(config.horizon, arrival_rng, workload_rng);
+  double previous_arrival = 0.0;
+  for (const TraceJob& job : jobs) {
+    if (breaks_contract(job, previous_arrival)) {
+      throw std::runtime_error(
+          "GridSimulator: workload source produced an invalid stream "
+          "(arrivals must be finite, sorted and >= 0, sizes finite > 0)");
+    }
+    previous_arrival = job.arrival;
+  }
+  return std::make_shared<MaterializedStream>(std::move(jobs));
+}
+
 }  // namespace
 
 GridSimulator::GridSimulator(SimConfig config) : config_(std::move(config)) {
@@ -64,7 +106,6 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
   Rng machine_rng = rng.split();
   Rng churn_rng = rng.split();
 
-  const bool streaming = config_.stream != nullptr;
   const bool replaying_churn = config_.churn_replay != nullptr;
   const bool churn_enabled = config_.machine_mtbf > 0 || replaying_churn;
 
@@ -103,6 +144,15 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
   records_.clear();
   trace_.clear();
   churn_trace_.clear();
+  const std::shared_ptr<StreamingWorkloadSource> arrivals =
+      open_arrivals(config_, arrival_rng, workload_rng);
+  // A generated workload is in memory anyway, so its run keeps every
+  // finalized job; a stream run keeps only its in-flight window.
+  const bool keep_records = config_.stream == nullptr;
+  // A declared-but-unset QoS column is behaviorally inert (infinite
+  // slack / no users), pinned by test.
+  const StreamQos qos = arrivals->qos();
+
   auto hashed_class = [&](int job_id) {
     std::uint64_t state =
         config_.seed ^ (static_cast<std::uint64_t>(job_id) * 0x2545f4914f6cdd1dULL);
@@ -127,70 +177,16 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
     if (job.user < 0) job.user = -1;
   };
 
-  bool qos_deadlines = false;
-  bool qos_budgets = false;
-  if (!streaming) {
-    // --- Materialize the arrival stream over the horizon. ---
-    if (config_.workload) {
-      trace_ = config_.workload->generate(config_.horizon, arrival_rng,
-                                          workload_rng);
-    } else {
-      PoissonWorkload poisson(
-          config_.arrival_rate,
-          LogNormalSize{config_.workload_log_mean, config_.workload_log_sigma});
-      trace_ = poisson.generate(config_.horizon, arrival_rng, workload_rng);
-    }
-    for (std::size_t i = 0; i < trace_.size(); ++i) {
-      TraceJob& job = trace_[i];
-      // Negated comparisons reject NaN alongside genuine range violations.
-      if (!(job.arrival >= 0) || !std::isfinite(job.arrival) ||
-          !(job.workload_mi > 0) || !std::isfinite(job.workload_mi) ||
-          (i > 0 && job.arrival < trace_[i - 1].arrival)) {
-        throw std::runtime_error(
-            "GridSimulator: workload source produced an invalid stream "
-            "(arrivals must be finite, sorted and >= 0, sizes finite > 0)");
-      }
-      SimJobRecord record;
-      record.id = static_cast<int>(i);
-      record.arrival = job.arrival;
-      records_.push_back(record);
-      normalize_job(job, record.id);
-    }
-    qos_deadlines =
-        std::any_of(trace_.begin(), trace_.end(),
-                    [](const TraceJob& job) { return job.deadline >= 0; });
-    qos_budgets =
-        std::any_of(trace_.begin(), trace_.end(), [](const TraceJob& job) {
-          return job.user >= 0 || job.budget >= 0;
-        });
-  } else {
-    // A stream cannot be scanned up front, so the QoS regime is the
-    // source's declaration. A declared-but-unset column is behaviorally
-    // inert (infinite slack / no users), pinned by test.
-    const StreamQos stream_qos = config_.stream->qos();
-    qos_deadlines = stream_qos.deadlines;
-    qos_budgets = stream_qos.budgets;
-  }
-
-  // --- In-flight window (streaming mode): jobs [first_live, next_id)
-  // keyed by id. A job leaves the window only once its outcome can never
-  // change again; record_of/job_of dispatch so the batch loop below is
-  // mode-agnostic. ---
-  std::deque<TraceJob> live_jobs;
-  std::deque<SimJobRecord> live_records;
+  // --- In-flight window: jobs [first_live, first_live + live.size())
+  // keyed by id. A job leaves it only once its outcome can never change
+  // again. ---
+  std::deque<LiveJob> live;
   int first_live = 0;
-  int next_id = 0;
   double last_arrival = 0.0;
   std::vector<TraceJob> chunk;
-  bool stream_open = streaming;
-
-  auto job_of = [&](int id) -> TraceJob& {
-    return streaming ? live_jobs[static_cast<std::size_t>(id - first_live)]
-                     : trace_[static_cast<std::size_t>(id)];
-  };
-  auto record_of = [&](int id) -> SimJobRecord& {
-    return streaming ? live_records[static_cast<std::size_t>(id - first_live)]
-                     : records_[static_cast<std::size_t>(id)];
+  bool stream_open = true;
+  auto live_job = [&](int id) -> LiveJob& {
+    return live[static_cast<std::size_t>(id - first_live)];
   };
 
   auto cost_rate_of = [&](int machine) {
@@ -199,8 +195,7 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
            config_.mips_max;
   };
 
-  auto etc_of = [&](int job_id, int machine) {
-    const TraceJob& job = job_of(job_id);
+  auto etc_of = [&](const TraceJob& job, int job_id, int machine) {
     double base =
         job.workload_mi / machines[static_cast<std::size_t>(machine)].mips;
     if (config_.num_job_classes > 0 &&
@@ -213,15 +208,21 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
   };
 
   SimMetrics metrics;
-  if (!streaming) metrics.jobs_arrived = static_cast<int>(records_.size());
+  std::deque<int> pending;  // job ids awaiting scheduling
+  std::size_t churn_cursor = 0;  // next churn_replay event to apply
+  double now = 0.0;
+  Stopwatch cpu;
+  double total_batch = 0.0;
 
-  // --- Per-job finalization, shared by both modes and always invoked in
-  // id order, so every floating-point accumulation happens in the same
-  // sequence — the streaming/materialized bit-identity hinges on this. ---
+  // --- Finalize: one job's outcome is final. Always invoked in id order,
+  // so every floating-point accumulation happens in the same sequence
+  // whatever the activation at which the job leaves the window. ---
   double flow_sum = 0.0;
   double wait_sum = 0.0;
   double slowdown_sum = 0.0;
-  auto finalize_job = [&](const SimJobRecord& r, const TraceJob& job) {
+  auto finalize_job = [&](const LiveJob& entry) {
+    const SimJobRecord& r = entry.record;
+    const TraceJob& job = entry.job;
     // Deadline accounting covers every outcome: late, rejected at
     // ingress, or never finished all count as misses — admission control
     // cannot improve the SLO by hiding jobs.
@@ -236,6 +237,10 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
       }
     }
     if (observer_) observer_(r, job);
+    if (keep_records) {
+      records_.push_back(r);
+      trace_.push_back(job);
+    }
     if (r.finish < 0) return;
     ++metrics.jobs_completed;
     flow_sum += r.flowtime();
@@ -246,19 +251,12 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
     }
     double ideal = std::numeric_limits<double>::infinity();
     for (int m = 0; m < config_.num_machines; ++m) {
-      ideal = std::min(ideal, etc_of(r.id, m));
+      ideal = std::min(ideal, etc_of(job, r.id, m));
     }
     slowdown_sum += r.flowtime() / ideal;
     metrics.max_flowtime = std::max(metrics.max_flowtime, r.flowtime());
     metrics.makespan = std::max(metrics.makespan, r.finish);
   };
-
-  std::deque<int> pending;  // job ids awaiting scheduling
-  std::size_t next_arrival = 0;
-  std::size_t churn_cursor = 0;  // next churn_replay event to apply
-  double now = 0.0;
-  Stopwatch cpu;
-  double total_batch = 0.0;
 
   // Fails machine `mi` at `fail_at`: jobs not finished by then are lost
   // and re-queued (non-preemptive execution restarts elsewhere). Records
@@ -269,7 +267,7 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
     m.repair_at = repair_at;
     std::vector<int> survivors;
     for (int job : m.queued_jobs) {
-      auto& r = record_of(job);
+      auto& r = live_job(job).record;
       if (r.finish <= fail_at) {
         survivors.push_back(job);  // already done, keep the record
       } else {
@@ -285,11 +283,8 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
     churn_trace_.push_back(ChurnEvent{mi, fail_at, repair_at});
   };
 
-  const double max_sim_time = config_.horizon * 1000.0;  // runaway guard
-  while (now < max_sim_time) {
-    now += config_.scheduler_period;
-
-    // --- Machine churn within (now - period, now]. ---
+  // --- Churn: machine failures and repairs within (now - period, now]. ---
+  auto apply_churn = [&] {
     if (replaying_churn) {
       // Repairs first: a machine repaired this activation rejoins the
       // batch below but cannot fail again until the next one — the same
@@ -333,102 +328,76 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
         }
       }
     }
+  };
 
-    // --- Retire immortal jobs from the in-flight window (streaming).
-    // After this activation's churn, a job with finish <= now can never
-    // be re-queued (every future fail_at lands in a later window), so
-    // the contiguous finished/rejected prefix is final. Finalizing
-    // exactly that prefix keeps the accumulation order identical to the
-    // materialized end-of-run pass. ---
-    if (streaming) {
-      const int prune_from = first_live;
-      while (!live_records.empty()) {
-        const SimJobRecord& r = live_records.front();
-        if (!(r.rejected || (r.finish >= 0 && r.finish <= now))) break;
-        finalize_job(r, live_jobs.front());
-        live_records.pop_front();
-        live_jobs.pop_front();
-        ++first_live;
+  // --- Retire: after this activation's churn, a job with finish <= now
+  // can never be re-queued (every future fail_at lands in a later
+  // window), so the contiguous finished/rejected prefix of the window is
+  // final. After the last activation, everything left is final. ---
+  auto retire_final_jobs = [&](bool run_over) {
+    const int prune_from = first_live;
+    while (!live.empty()) {
+      const SimJobRecord& r = live.front().record;
+      if (!(run_over || r.rejected || (r.finish >= 0 && r.finish <= now))) {
+        break;
       }
-      if (churn_enabled && first_live != prune_from) {
-        // Retired ids can never be re-queued; drop them so queue scans
-        // and memory stay proportional to the live window.
-        for (auto& m : machines) {
-          std::erase_if(m.queued_jobs,
-                        [&](int id) { return id < first_live; });
-        }
+      finalize_job(live.front());
+      live.pop_front();
+      ++first_live;
+    }
+    if (first_live != prune_from) {
+      // Retired ids can never be re-queued; drop them so queue scans
+      // stay proportional to the live window.
+      for (auto& m : machines) {
+        std::erase_if(m.queued_jobs, [&](int id) { return id < first_live; });
       }
     }
+  };
 
-    // --- Collect arrivals up to now. ---
-    if (!streaming) {
-      while (next_arrival < records_.size() &&
-             records_[next_arrival].arrival <= now) {
-        pending.push_back(records_[next_arrival].id);
-        ++next_arrival;
+  // --- Pull arrivals up to now into the window and the pending queue. ---
+  auto pull_arrivals = [&] {
+    chunk.clear();
+    stream_open = arrivals->next_chunk(now, chunk);
+    for (const TraceJob& incoming : chunk) {
+      // Horizon convention is half-open [0, horizon) everywhere: a
+      // boundary arrival is dropped, exactly as the synthetic generators
+      // and TraceWorkloadSource never emit it. Released jobs are sorted,
+      // so the rest of the chunk is past it too.
+      if (incoming.arrival >= config_.horizon) {
+        stream_open = false;
+        break;
       }
-    } else if (stream_open) {
-      chunk.clear();
-      stream_open = config_.stream->next_chunk(now, chunk);
-      for (const TraceJob& incoming : chunk) {
-        // Horizon convention is half-open [0, horizon) everywhere: a
-        // boundary arrival is dropped, exactly as the synthetic
-        // generators and TraceWorkloadSource never emit it. Released
-        // jobs are sorted, so the rest of the chunk is past it too.
-        if (incoming.arrival >= config_.horizon) {
-          stream_open = false;
-          break;
-        }
-        if (!(incoming.arrival >= 0) || !std::isfinite(incoming.arrival) ||
-            !(incoming.workload_mi > 0) ||
-            !std::isfinite(incoming.workload_mi) ||
-            incoming.arrival < last_arrival) {
-          throw std::runtime_error(
-              "GridSimulator: streaming source produced an invalid stream "
-              "(arrivals must be finite, sorted and >= 0, sizes finite > 0)");
-        }
-        last_arrival = incoming.arrival;
-        SimJobRecord record;
-        record.id = next_id;
-        record.arrival = incoming.arrival;
-        live_records.push_back(record);
-        live_jobs.push_back(incoming);
-        normalize_job(live_jobs.back(), next_id);
-        pending.push_back(next_id);
-        ++next_id;
-        ++metrics.jobs_arrived;
+      if (breaks_contract(incoming, last_arrival)) {
+        throw std::runtime_error(
+            "GridSimulator: streaming source produced an invalid stream "
+            "(arrivals must be finite, sorted and >= 0, sizes finite > 0)");
       }
-      if (now >= config_.horizon) stream_open = false;
-      metrics.peak_resident_jobs =
-          std::max(metrics.peak_resident_jobs,
-                   static_cast<int>(live_records.size()));
+      last_arrival = incoming.arrival;
+      const int id = first_live + static_cast<int>(live.size());
+      live.push_back({incoming, {.id = id, .arrival = incoming.arrival}});
+      normalize_job(live.back().job, id);
+      pending.push_back(id);
+      ++metrics.jobs_arrived;
     }
+    if (now >= config_.horizon) stream_open = false;
+    // Kept records are resident too, so a recorded run peaks at
+    // jobs_arrived.
+    metrics.peak_resident_jobs =
+        std::max(metrics.peak_resident_jobs,
+                 static_cast<int>(live.size() + records_.size()));
+  };
 
-    const bool horizon_passed =
-        streaming ? !stream_open : next_arrival >= records_.size();
-    if (pending.empty()) {
-      if (horizon_passed) break;  // nothing left to do
-      continue;
-    }
-
-    // --- Build the batch ETC problem over alive machines. ---
-    std::vector<int> alive;  // batch machine index -> grid machine id
-    for (std::size_t mi = 0; mi < machines.size(); ++mi) {
-      if (machines[mi].alive) alive.push_back(static_cast<int>(mi));
-    }
-    if (alive.empty()) {
-      if (horizon_passed && !churn_enabled) break;
-      continue;  // wait for a repair
-    }
-
-    std::vector<int> batch(pending.begin(), pending.end());
-    pending.clear();
+  // --- Build the batch: the ETC problem over alive machines (ready
+  // times = each machine's remaining backlog, Eq. 1) and its context. ---
+  auto build_etc = [&](const std::vector<int>& batch,
+                       const std::vector<int>& alive) {
     EtcMatrix etc(static_cast<int>(batch.size()),
                   static_cast<int>(alive.size()));
     for (std::size_t bj = 0; bj < batch.size(); ++bj) {
+      const TraceJob& job = live_job(batch[bj]).job;
       for (std::size_t bm = 0; bm < alive.size(); ++bm) {
         etc.set(static_cast<JobId>(bj), static_cast<MachineId>(bm),
-                etc_of(batch[bj], alive[bm]));
+                etc_of(job, batch[bj], alive[bm]));
       }
     }
     for (std::size_t bm = 0; bm < alive.size(); ++bm) {
@@ -436,8 +405,11 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
       etc.set_ready_time(static_cast<MachineId>(bm),
                          std::max(0.0, m.free_at - now));
     }
+    return etc;
+  };
 
-    // --- Run the scheduler on the batch. ---
+  auto build_context = [&](const std::vector<int>& batch,
+                           const std::vector<int>& alive) {
     BatchContext ctx;
     ctx.job_ids = batch;
     ctx.machine_ids = alive;
@@ -452,26 +424,26 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
       ctx.class_speedup = config_.class_speedup;
       ctx.job_classes.reserve(batch.size());
       for (const int job : batch) {
-        ctx.job_classes.push_back(job_of(job).job_class);
+        ctx.job_classes.push_back(live_job(job).job.job_class);
       }
     }
-    if (qos_deadlines) {
+    if (qos.deadlines) {
       // Relative slack: absolute deadline minus the activation time, so
       // schedulers compare it against batch completion times directly.
       ctx.job_deadlines.reserve(batch.size());
       for (const int job : batch) {
-        const double deadline = job_of(job).deadline;
+        const double deadline = live_job(job).job.deadline;
         ctx.job_deadlines.push_back(
             deadline >= 0 ? deadline - now
                           : std::numeric_limits<double>::infinity());
       }
     }
-    if (qos_budgets) {
+    if (qos.budgets) {
       ctx.job_users.reserve(batch.size());
       ctx.job_budgets.reserve(batch.size());
       for (const int job : batch) {
-        ctx.job_users.push_back(job_of(job).user);
-        ctx.job_budgets.push_back(job_of(job).budget);
+        ctx.job_users.push_back(live_job(job).job.user);
+        ctx.job_budgets.push_back(live_job(job).job.budget);
       }
     }
     if (config_.machine_cost_rate > 0) {
@@ -480,27 +452,20 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
         ctx.machine_cost_rates.push_back(cost_rate_of(machine));
       }
     }
-    cpu.restart();
-    const Schedule plan = scheduler.schedule_batch(etc, ctx);
-    metrics.scheduler_cpu_ms += cpu.elapsed_ms();
-    if (!plan.complete(etc.num_machines()) ||
-        plan.num_jobs() != etc.num_jobs()) {
-      throw std::runtime_error("GridSimulator: scheduler returned an "
-                               "incomplete schedule");
-    }
-    ++metrics.activations;
-    total_batch += static_cast<double>(batch.size());
+    return ctx;
+  };
 
-    // --- Admission rejections: dropped at ingress, never re-queued. ---
+  // --- Commit: admission rejections are dropped at ingress and never
+  // re-queued; every other job runs on its machine in SPT order (the
+  // convention the evaluator optimizes; see core/evaluator.h). ---
+  auto commit = [&](const Schedule& plan, const std::vector<int>& batch,
+                    const std::vector<int>& alive, const EtcMatrix& etc) {
     for (std::size_t bj = 0; bj < batch.size(); ++bj) {
       if (plan[static_cast<JobId>(bj)] == Schedule::kRejected) {
-        record_of(batch[bj]).rejected = true;
+        live_job(batch[bj]).record.rejected = true;
         ++metrics.jobs_rejected;
       }
     }
-
-    // --- Commit: per machine, execute in SPT order (the convention the
-    // evaluator optimizes; see core/evaluator.h). ---
     for (std::size_t bm = 0; bm < alive.size(); ++bm) {
       std::vector<std::pair<double, int>> spt;  // (etc, batch job index)
       for (std::size_t bj = 0; bj < batch.size(); ++bj) {
@@ -514,40 +479,57 @@ SimMetrics GridSimulator::run(BatchScheduler& scheduler) {
       auto& m = machines[static_cast<std::size_t>(alive[bm])];
       double cursor = std::max(m.free_at, now);
       for (const auto& [cost, bj] : spt) {
-        auto& r = record_of(batch[static_cast<std::size_t>(bj)]);
+        auto& r = live_job(batch[static_cast<std::size_t>(bj)]).record;
         r.start = cursor;
         r.finish = cursor + cost;
-        r.machine = static_cast<MachineId>(alive[static_cast<std::size_t>(bm)]);
+        r.machine = static_cast<MachineId>(alive[bm]);
         r.attempts += 1;
         cursor = r.finish;
         m.busy_until_now += cost;
-        // queued_jobs only feeds failure re-queues; in streaming mode
-        // without churn, tracking it would grow without bound.
-        if (!streaming || churn_enabled) m.queued_jobs.push_back(r.id);
+        // queued_jobs only feeds failure re-queues; without churn,
+        // tracking it would grow without bound.
+        if (churn_enabled) m.queued_jobs.push_back(r.id);
       }
       m.free_at = cursor;
     }
+  };
 
-    if (horizon_passed && !config_.drain) break;
+  // --- The activation loop: every `scheduler_period` seconds, until the
+  // stream is exhausted and nothing is pending. ---
+  const double max_sim_time = config_.horizon * 1000.0;  // runaway guard
+  while (now < max_sim_time) {
+    now += config_.scheduler_period;
+    apply_churn();
+    retire_final_jobs(false);
+    if (stream_open) pull_arrivals();
+    if (pending.empty()) {
+      if (!stream_open) break;  // nothing left to do
+      continue;
+    }
+    std::vector<int> alive;  // batch machine index -> grid machine id
+    for (std::size_t mi = 0; mi < machines.size(); ++mi) {
+      if (machines[mi].alive) alive.push_back(static_cast<int>(mi));
+    }
+    if (alive.empty()) continue;  // wait for a repair
+
+    const std::vector<int> batch(pending.begin(), pending.end());
+    pending.clear();
+    const EtcMatrix etc = build_etc(batch, alive);
+    const BatchContext ctx = build_context(batch, alive);
+    cpu.restart();
+    const Schedule plan = scheduler.schedule_batch(etc, ctx);
+    metrics.scheduler_cpu_ms += cpu.elapsed_ms();
+    if (!plan.complete(etc.num_machines()) ||
+        plan.num_jobs() != etc.num_jobs()) {
+      throw std::runtime_error("GridSimulator: scheduler returned an "
+                               "incomplete schedule");
+    }
+    ++metrics.activations;
+    total_batch += static_cast<double>(batch.size());
+    commit(plan, batch, alive, etc);
   }
 
-  // --- Aggregate metrics over completed jobs (materialized: everything
-  // finalizes here; streaming: flush whatever the in-flight window still
-  // holds — jobs whose finish lies past the last activation, or that
-  // never got scheduled). Same finalizer, same id order either way. ---
-  if (!streaming) {
-    metrics.peak_resident_jobs = static_cast<int>(records_.size());
-    for (const auto& r : records_) {
-      finalize_job(r, trace_[static_cast<std::size_t>(r.id)]);
-    }
-  } else {
-    while (!live_records.empty()) {
-      finalize_job(live_records.front(), live_jobs.front());
-      live_records.pop_front();
-      live_jobs.pop_front();
-      ++first_live;
-    }
-  }
+  retire_final_jobs(true);
   if (metrics.jobs_completed > 0) {
     metrics.mean_flowtime = flow_sum / metrics.jobs_completed;
     metrics.mean_wait = wait_sum / metrics.jobs_completed;

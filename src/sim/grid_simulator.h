@@ -9,13 +9,14 @@
 // MTBF/MTTR); jobs on a failed machine are re-queued, since execution is
 // non-preemptive.
 //
-// The arrival stream comes from a pluggable WorkloadSource
-// (workload/workload_source.h): trace replay, bursty, diurnal,
-// heavy-tailed, flash-crowd, or — when `SimConfig::workload` is unset —
-// the historical Poisson process with LogNormal sizes, reproduced draw
-// for draw. Whatever produced it, the materialized stream of the last run
-// is exposed via `arrival_trace()` with effective job classes filled in,
-// so any run can be recorded (workload/trace_io.h) and replayed
+// Arrivals take one path: the simulator pulls them chunk by chunk from a
+// StreamingWorkloadSource (`SimConfig::stream`, in O(in-flight window)
+// memory) or from a WorkloadSource it generates over the horizon and
+// streams through MaterializedStream (`SimConfig::workload`: trace replay,
+// bursty, diurnal, heavy-tailed, flash-crowd, or, unset, the historical
+// Poisson process with LogNormal sizes, reproduced draw for draw). A
+// workload run keeps its jobs: `arrival_trace()` has effective job classes
+// filled in, so it can be recorded (workload/trace_io.h) and replayed
 // bit-for-bit.
 //
 // ETC entries for a (job, machine) pair derive from job workload (MI) and
@@ -74,27 +75,25 @@ struct SimConfig {
   /// faster machines cost proportionally more, the Buyya-style cost-time
   /// trade-off. Passed to schedulers via BatchContext::machine_cost_rates.
   double machine_cost_rate = 0.0;
-  bool drain = true;  // keep activating past the horizon until queue empties
   std::uint64_t seed = 1;
-  /// Arrival stream. Unset = Poisson(arrival_rate) with
+  /// Generated arrival stream. Unset = Poisson(arrival_rate) with
   /// LogNormal(workload_log_mean, workload_log_sigma) sizes, exactly the
-  /// stream this simulator always produced. Shared so SimConfig stays
-  /// copyable (benches clone a base config per run); sources are
-  /// stateless across runs.
+  /// stream this simulator always produced. Checked whole before the
+  /// first activation; the run keeps job_records()/arrival_trace(). Shared
+  /// so SimConfig stays copyable (benches clone a base config per run);
+  /// sources are stateless across runs.
   std::shared_ptr<WorkloadSource> workload;
-  /// Streaming arrival stream, mutually exclusive with `workload`: the
-  /// simulator pulls `next_chunk(now)` each activation and holds only the
-  /// in-flight job window, so a multi-million-job trace replays in O(1)
-  /// memory (SimMetrics::peak_resident_jobs reports the window's high
-  /// water mark). Unlike `workload`, a stream carries a cursor and is
-  /// CONSUMED by one run — build a fresh one per run. In this mode
-  /// `job_records()`/`arrival_trace()` stay empty; observe per-job
-  /// outcomes via set_job_observer.
+  /// Pulled arrival stream, mutually exclusive with `workload`: run()
+  /// pulls `next_chunk(now)` each activation and holds only the in-flight
+  /// job window, so a multi-million-job trace replays in O(1) memory.
+  /// Unlike `workload`, a stream carries a cursor and is CONSUMED by one
+  /// run — build a fresh one per run. job_records()/arrival_trace() stay
+  /// empty; observe per-job outcomes via set_job_observer.
   std::shared_ptr<StreamingWorkloadSource> stream;
   /// Recorded churn to replay (workload/trace_io.h sidecar): when set,
   /// machine failures come from this event sequence instead of the
   /// MTBF/MTTR draws, making a churny run reproducible under ANY
-  /// scheduler and either arrival mode. Events must be the recorded
+  /// scheduler and either arrival input. Events must be the recorded
   /// order (non-decreasing activation windows), validated at run().
   std::shared_ptr<const std::vector<ChurnEvent>> churn_replay;
 };
@@ -136,12 +135,11 @@ struct SimMetrics {
   /// the tail, so p50/p99 come from here (flowtime_hist.p99()).
   LatencyHistogram flowtime_hist;
   // QoS outcomes (all zero when the trace carries no deadlines).
-  /// High-water mark of jobs resident in simulator memory at once. In
-  /// streaming mode this is the in-flight window (bounded by scheduling
-  /// locality, independent of trace length — the O(1)-memory guarantee,
-  /// gated by bench/trace_replay); in materialized mode it equals
-  /// jobs_arrived. Deterministic, so parity checks exclude it like
-  /// scheduler_cpu_ms.
+  /// High-water mark of jobs resident in simulator memory at once: the
+  /// in-flight window plus kept records. For a `stream` run that is the
+  /// window (independent of trace length — the O(1)-memory guarantee,
+  /// gated by bench/trace_replay); a `workload` run equals jobs_arrived.
+  /// Deterministic, so parity checks exclude it like scheduler_cpu_ms.
   int peak_resident_jobs = 0;
   int jobs_rejected = 0;   // dropped at ingress by admission control
   int deadline_jobs = 0;   // jobs that carried a deadline
@@ -158,12 +156,11 @@ struct SimMetrics {
 
 class GridSimulator {
  public:
-  /// Fires once per job, in job-id (= arrival) order, when the job's
-  /// outcome is final: at end of run in materialized mode, as the
-  /// in-flight window drains in streaming mode. The TraceJob carries the
-  /// normalized fields (resolved class, -1 sentinels) the run actually
-  /// used. Identical call sequence in both modes — the bit-identity
-  /// bridge between them.
+  /// Fires once per job, in job-id (= arrival) order, as the in-flight
+  /// window retires the job's final outcome (the rest at end of run). The
+  /// TraceJob carries the normalized fields (resolved class, -1 sentinels)
+  /// the run actually used. The sequence depends only on the jobs, not on
+  /// whether they came from `workload` or `stream`.
   using JobObserver = std::function<void(const SimJobRecord&, const TraceJob&)>;
 
   explicit GridSimulator(SimConfig config);
@@ -176,14 +173,14 @@ class GridSimulator {
     observer_ = std::move(observer);
   }
 
-  /// Per-job records of the last run (empty before the first run, and
-  /// always empty in streaming mode — use set_job_observer there).
+  /// Per-job records of the last `workload` run, in id order (empty
+  /// after a `stream` run — use set_job_observer there).
   [[nodiscard]] const std::vector<SimJobRecord>& job_records() const noexcept {
     return records_;
   }
 
-  /// The materialized arrival stream of the last run, with the job class
-  /// each ETC actually used filled in (when classes are enabled).
+  /// The arrival stream of the last `workload` run (empty after a
+  /// `stream` run), with the job class each ETC actually used filled in.
   /// `write_trace(out, sim.arrival_trace())` re-emits the run as a trace
   /// that TraceWorkloadSource replays bit-for-bit under the same config.
   [[nodiscard]] const std::vector<TraceJob>& arrival_trace() const noexcept {

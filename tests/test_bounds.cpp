@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -60,8 +61,8 @@ void expect_certificate(const bounds::LinearProgram& lp,
   for (std::size_t r = 0; r < lp.constraints.size(); ++r) {
     const auto& con = lp.constraints[r];
     double lhs = 0.0;
-    for (std::size_t c = 0; c < result.x.size(); ++c) {
-      lhs += con.coeffs[c] * result.x[c];
+    for (const bounds::LpTerm& term : con.terms) {
+      lhs += term.coeff * result.x[term.index];
     }
     if (con.relation != bounds::Relation::kGreaterEqual) {
       EXPECT_LE(lhs, con.rhs + kTol) << "row " << r;
@@ -149,9 +150,10 @@ TEST(Simplex, SolvesAKnownTinyLp) {
   // min -x - 2y  s.t.  x + y <= 3, x <= 2, y <= 2  ->  x=1, y=2, obj -5.
   bounds::LinearProgram lp;
   lp.objective = {-1.0, -2.0};
-  lp.constraints.push_back({{1.0, 1.0}, bounds::Relation::kLessEqual, 3.0});
-  lp.constraints.push_back({{1.0, 0.0}, bounds::Relation::kLessEqual, 2.0});
-  lp.constraints.push_back({{0.0, 1.0}, bounds::Relation::kLessEqual, 2.0});
+  lp.constraints.push_back(
+      {{{0, 1.0}, {1, 1.0}}, bounds::Relation::kLessEqual, 3.0});
+  lp.constraints.push_back({{{0, 1.0}}, bounds::Relation::kLessEqual, 2.0});
+  lp.constraints.push_back({{{1, 1.0}}, bounds::Relation::kLessEqual, 2.0});
   const auto result = bounds::solve_simplex(lp);
   ASSERT_EQ(result.status, bounds::SimplexStatus::kOptimal);
   EXPECT_NEAR(result.objective, -5.0, 1e-9);
@@ -165,8 +167,10 @@ TEST(Simplex, HandlesEqualityAndGreaterEqualRows) {
   // min x + y  s.t.  x + y = 2, x >= 0.5  ->  x=0.5 (any split), obj 2.
   bounds::LinearProgram lp;
   lp.objective = {1.0, 1.0};
-  lp.constraints.push_back({{1.0, 1.0}, bounds::Relation::kEqual, 2.0});
-  lp.constraints.push_back({{1.0, 0.0}, bounds::Relation::kGreaterEqual, 0.5});
+  lp.constraints.push_back(
+      {{{0, 1.0}, {1, 1.0}}, bounds::Relation::kEqual, 2.0});
+  lp.constraints.push_back(
+      {{{0, 1.0}}, bounds::Relation::kGreaterEqual, 0.5});
   const auto result = bounds::solve_simplex(lp);
   ASSERT_EQ(result.status, bounds::SimplexStatus::kOptimal);
   EXPECT_NEAR(result.objective, 2.0, 1e-9);
@@ -180,11 +184,15 @@ TEST(Simplex, TerminatesOnBealesCyclingExample) {
   bounds::LinearProgram lp;
   lp.objective = {-0.75, 150.0, -0.02, 6.0};
   lp.constraints.push_back(
-      {{0.25, -60.0, -0.04, 9.0}, bounds::Relation::kLessEqual, 0.0});
+      {{{0, 0.25}, {1, -60.0}, {2, -0.04}, {3, 9.0}},
+       bounds::Relation::kLessEqual,
+       0.0});
   lp.constraints.push_back(
-      {{0.5, -90.0, -0.02, 3.0}, bounds::Relation::kLessEqual, 0.0});
+      {{{0, 0.5}, {1, -90.0}, {2, -0.02}, {3, 3.0}},
+       bounds::Relation::kLessEqual,
+       0.0});
   lp.constraints.push_back(
-      {{0.0, 0.0, 1.0, 0.0}, bounds::Relation::kLessEqual, 1.0});
+      {{{2, 1.0}}, bounds::Relation::kLessEqual, 1.0});
   const auto result = bounds::solve_simplex(lp);
   ASSERT_EQ(result.status, bounds::SimplexStatus::kOptimal);
   EXPECT_NEAR(result.objective, -0.05, 1e-12);
@@ -196,8 +204,9 @@ TEST(Simplex, TerminatesOnBealesCyclingExample) {
 TEST(Simplex, DetectsInfeasible) {
   bounds::LinearProgram lp;
   lp.objective = {1.0};
-  lp.constraints.push_back({{1.0}, bounds::Relation::kGreaterEqual, 2.0});
-  lp.constraints.push_back({{1.0}, bounds::Relation::kLessEqual, 1.0});
+  lp.constraints.push_back(
+      {{{0, 1.0}}, bounds::Relation::kGreaterEqual, 2.0});
+  lp.constraints.push_back({{{0, 1.0}}, bounds::Relation::kLessEqual, 1.0});
   EXPECT_EQ(bounds::solve_simplex(lp).status,
             bounds::SimplexStatus::kInfeasible);
 }
@@ -206,7 +215,8 @@ TEST(Simplex, DetectsUnbounded) {
   // min -x  s.t.  x >= 1: x can grow forever.
   bounds::LinearProgram lp;
   lp.objective = {-1.0};
-  lp.constraints.push_back({{1.0}, bounds::Relation::kGreaterEqual, 1.0});
+  lp.constraints.push_back(
+      {{{0, 1.0}}, bounds::Relation::kGreaterEqual, 1.0});
   EXPECT_EQ(bounds::solve_simplex(lp).status,
             bounds::SimplexStatus::kUnbounded);
 }
@@ -214,12 +224,20 @@ TEST(Simplex, DetectsUnbounded) {
 TEST(Simplex, PivotBudgetIsAFirstClassStatus) {
   bounds::LinearProgram lp;
   lp.objective = {-1.0, -2.0};
-  lp.constraints.push_back({{1.0, 1.0}, bounds::Relation::kLessEqual, 3.0});
-  lp.constraints.push_back({{1.0, 0.0}, bounds::Relation::kLessEqual, 2.0});
+  lp.constraints.push_back(
+      {{{0, 1.0}, {1, 1.0}}, bounds::Relation::kLessEqual, 3.0});
+  lp.constraints.push_back({{{0, 1.0}}, bounds::Relation::kLessEqual, 2.0});
   bounds::SimplexOptions options;
   options.max_pivots = 0;
   EXPECT_EQ(bounds::solve_simplex(lp, options).status,
             bounds::SimplexStatus::kPivotLimit);
+}
+
+TEST(Simplex, RejectsATermOutsideTheObjective) {
+  bounds::LinearProgram lp;
+  lp.objective = {1.0, 1.0};
+  lp.constraints.push_back({{{2, 1.0}}, bounds::Relation::kLessEqual, 1.0});
+  EXPECT_THROW((void)bounds::solve_simplex(lp), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "etc/instance.h"
@@ -1178,6 +1179,126 @@ TEST(ShardedDriver, StreamingReportMatchesTheMaterializedReport) {
   EXPECT_EQ(b.workload, "materialized");
   // Streaming keeps only the in-flight window resident.
   EXPECT_LT(b.global.peak_resident_jobs, b.global.jobs_arrived);
+}
+
+TEST(ShardedDriver, PerShardReportMatchesAcrossInputsUnderSplitMerge) {
+  // Under churn with split/merge on, machines change shards mid-run. The
+  // per-shard view must still depend only on the jobs: the same trace
+  // through SimConfig::workload and through SimConfig::stream yields the
+  // same per-shard and per-class report, bit for bit.
+  SimConfig sim_config;
+  sim_config.horizon = 600.0;
+  sim_config.arrival_rate = 0.5;
+  sim_config.scheduler_period = 50.0;
+  sim_config.num_machines = 12;
+  sim_config.machine_mtbf = 120.0;
+  sim_config.machine_mttr = 80.0;
+  sim_config.num_job_classes = 3;
+  sim_config.seed = 23;
+  Rng rng(sim_config.seed);
+  Rng arrival_rng = rng.split();
+  Rng workload_rng = rng.split();
+  PoissonWorkload poisson(
+      sim_config.arrival_rate,
+      LogNormalSize{sim_config.workload_log_mean,
+                    sim_config.workload_log_sigma});
+  const std::vector<TraceJob> jobs =
+      poisson.generate(sim_config.horizon, arrival_rng, workload_rng);
+
+  ServiceConfig service_config = deterministic_config(2);
+  service_config.split_above_machines = 4;
+  service_config.merge_below_machines = 2;
+  service_config.resize_cooldown = 0;
+  service_config.resize_band = 0.0;
+  const auto run = [&](SimConfig config, GridSchedulingService& service) {
+    GridSimulator sim(std::move(config));
+    return run_sharded(sim, service);
+  };
+  SimConfig workload_config = sim_config;
+  workload_config.workload = std::make_shared<TraceWorkloadSource>(jobs);
+  GridSchedulingService service_a(service_config);
+  const ShardedSimReport a = run(workload_config, service_a);
+  SimConfig stream_config = sim_config;
+  stream_config.stream = std::make_shared<MaterializedStream>(jobs);
+  GridSchedulingService service_b(service_config);
+  const ShardedSimReport b = run(stream_config, service_b);
+
+  ASSERT_GT(a.global.jobs_requeued, 0) << "churn never fired; weak test";
+  int splits = 0;
+  int merges = 0;
+  for (const ShardResizeEvent& event : service_a.resize_events()) {
+    (event.split ? splits : merges) += 1;
+  }
+  ASSERT_GT(splits, 0) << "no split; weak test";
+  ASSERT_GT(merges, 0) << "no merge; weak test";
+
+  // Every deterministic field (scheduler_cpu_ms is wall-clock).
+  const auto expect_same_view = [](const SimMetrics& lhs,
+                                   const SimMetrics& rhs, std::size_t i) {
+    EXPECT_EQ(lhs.jobs_arrived, rhs.jobs_arrived) << i;
+    EXPECT_EQ(lhs.jobs_completed, rhs.jobs_completed) << i;
+    EXPECT_EQ(lhs.jobs_requeued, rhs.jobs_requeued) << i;
+    EXPECT_EQ(lhs.activations, rhs.activations) << i;
+    EXPECT_EQ(lhs.mean_flowtime, rhs.mean_flowtime) << i;
+    EXPECT_EQ(lhs.mean_wait, rhs.mean_wait) << i;
+    EXPECT_EQ(lhs.max_flowtime, rhs.max_flowtime) << i;
+    EXPECT_EQ(lhs.makespan, rhs.makespan) << i;
+    EXPECT_EQ(lhs.utilization, rhs.utilization) << i;
+  };
+  ASSERT_EQ(b.per_shard.size(), a.per_shard.size());
+  for (std::size_t shard = 0; shard < a.per_shard.size(); ++shard) {
+    expect_same_view(a.per_shard[shard], b.per_shard[shard], shard);
+  }
+  ASSERT_EQ(a.per_class.size(), 3u);
+  ASSERT_EQ(b.per_class.size(), a.per_class.size());
+  for (std::size_t job_class = 0; job_class < a.per_class.size();
+       ++job_class) {
+    expect_same_view(a.per_class[job_class], b.per_class[job_class],
+                     job_class);
+  }
+  for (const ShardedSimReport* report : {&a, &b}) {
+    int completed = 0;
+    for (const SimMetrics& shard : report->per_shard) {
+      completed += shard.jobs_completed;
+    }
+    EXPECT_EQ(completed, report->global.jobs_completed);
+  }
+}
+
+TEST(ShardedDriver, AThrowingRunLeavesNoObserverBehind) {
+  // run_sharded's observer points into its own frame: a run that throws
+  // must not leave it installed for the simulator's next run.
+  class FailsFirstPull final : public StreamingWorkloadSource {
+   public:
+    explicit FailsFirstPull(std::vector<TraceJob> jobs)
+        : inner_(std::move(jobs)) {}
+    [[nodiscard]] std::string_view name() const noexcept override {
+      return "fails-first-pull";
+    }
+    bool next_chunk(double until, std::vector<TraceJob>& out) override {
+      if (!failed_) {
+        failed_ = true;
+        throw std::runtime_error("first pull fails");
+      }
+      return inner_.next_chunk(until, out);
+    }
+
+   private:
+    MaterializedStream inner_;
+    bool failed_ = false;
+  };
+  SimConfig sim_config;
+  sim_config.horizon = 200.0;
+  sim_config.num_machines = 4;
+  sim_config.stream = std::make_shared<FailsFirstPull>(std::vector<TraceJob>{
+      {1.0, 1000.0, -1}, {60.0, 2000.0, -1}, {120.0, 500.0, -1}});
+  GridSimulator sim(sim_config);
+  {
+    GridSchedulingService service(deterministic_config(2));
+    EXPECT_THROW((void)run_sharded(sim, service), std::runtime_error);
+  }
+  HeuristicBatchScheduler scheduler(HeuristicKind::kMct);
+  EXPECT_EQ(sim.run(scheduler).jobs_completed, 3);
 }
 
 TEST(ShardedDriver, MachineBusyTimesAreExposedBySimulator) {

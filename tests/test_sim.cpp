@@ -178,25 +178,6 @@ TEST(BatchSchedulers, NamesAreMeaningful) {
   EXPECT_EQ(s.name(), "StruggleGA");
 }
 
-TEST(GridSimulator, NoDrainLeavesLateArrivalsUnscheduled) {
-  SimConfig config = fast_sim();
-  config.drain = false;
-  // A slow machine set guarantees a backlog at the horizon.
-  config.mips_min = 1.0;
-  config.mips_max = 2.0;
-  GridSimulator sim(config);
-  HeuristicBatchScheduler scheduler(HeuristicKind::kMct);
-  const SimMetrics metrics = sim.run(scheduler);
-  EXPECT_GT(metrics.jobs_arrived, 0);
-  // Every *scheduled* job still has consistent records.
-  for (const auto& record : sim.job_records()) {
-    if (record.finish >= 0) {
-      EXPECT_GE(record.start, record.arrival);
-      EXPECT_GT(record.finish, record.start);
-    }
-  }
-}
-
 TEST(GridSimulator, CmaFallbackNeverLosesToMinMinOnABatch) {
   // The ensemble rule inside CmaBatchScheduler: its batch fitness is at
   // most Min-Min's, whatever the budget.

@@ -5,8 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "sim/grid_simulator.h"
 #include "workload/swf_io.h"
@@ -819,25 +821,58 @@ TEST(GridSimulator, EmptyTraceRunsToCompletionWithZeroJobs) {
 }
 
 TEST(GridSimulator, RejectsAnInvalidSourceStream) {
-  SimConfig config;
-  config.horizon = 100.0;
-  config.num_machines = 2;
-  // TraceWorkloadSource sorts, so feed the simulator a broken stream via a
-  // stub source instead.
+  // A generated stream is checked whole before the first activation. The
+  // stream pull alone would not catch a NaN arrival: `NaN <= until` never
+  // releases it, so the job would silently vanish at the horizon.
   class BrokenSource final : public WorkloadSource {
    public:
+    explicit BrokenSource(std::vector<TraceJob> jobs)
+        : jobs_(std::move(jobs)) {}
     [[nodiscard]] std::string_view name() const noexcept override {
       return "broken";
     }
     [[nodiscard]] std::vector<TraceJob> generate(double, Rng&,
                                                  Rng&) override {
-      return {{5.0, 100.0, -1}, {1.0, 100.0, -1}};  // unsorted
+      return jobs_;
+    }
+
+   private:
+    std::vector<TraceJob> jobs_;
+  };
+  class CountingScheduler final : public BatchScheduler {
+   public:
+    int calls = 0;
+    [[nodiscard]] std::string_view name() const noexcept override {
+      return "counting";
+    }
+    [[nodiscard]] Schedule schedule_batch(const EtcMatrix& etc) override {
+      ++calls;
+      return Schedule(etc.num_jobs(), 0);
     }
   };
-  config.workload = std::make_shared<BrokenSource>();
-  GridSimulator sim(config);
-  HeuristicBatchScheduler scheduler(HeuristicKind::kMct);
-  EXPECT_THROW((void)sim.run(scheduler), std::runtime_error);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // Where the order allows, a valid job arrives first, so a check made
+  // at pull time would activate before it throws.
+  const std::vector<std::pair<std::string, std::vector<TraceJob>>> cases = {
+      {"unsorted", {{5.0, 100.0, -1}, {1.0, 100.0, -1}}},
+      {"nan arrival", {{1.0, 100.0, -1}, {nan, 100.0, -1}}},
+      {"negative arrival", {{-1.0, 100.0, -1}, {50.0, 100.0, -1}}},
+      {"zero size", {{1.0, 100.0, -1}, {50.0, 0.0, -1}}},
+      {"infinite size", {{1.0, 100.0, -1}, {50.0, inf, -1}}},
+  };
+  for (const auto& [label, jobs] : cases) {
+    SimConfig config;
+    config.horizon = 100.0;
+    config.scheduler_period = 10.0;
+    config.num_machines = 2;
+    config.workload = std::make_shared<BrokenSource>(jobs);
+    GridSimulator sim(config);
+    CountingScheduler scheduler;
+    EXPECT_THROW((void)sim.run(scheduler), std::runtime_error) << label;
+    EXPECT_EQ(scheduler.calls, 0) << label;
+  }
 }
 
 // ------------------------------------------------ horizon convention --
